@@ -5,7 +5,11 @@
     manager discipline — so structural equality is physical equality, shared
     subformulas are represented once, and DAG sizes (the paper's formula-size
     metric) are meaningful. Smart constructors perform constant folding and
-    local simplification. *)
+    local simplification.
+
+    A node's children always have smaller ids than the node. A manager holds
+    fewer than 2^30 nodes and 2^30 variables; constructors raise [Failure]
+    beyond that. *)
 
 type ctx
 

@@ -3,17 +3,30 @@ module Lit = Sepsat_sat.Lit
 
 type mode = Full | Polarity
 
+(* Every table is a dense array indexed by formula node id or variable
+   index, grown by doubling on demand. A literal slot holds [Lit.to_int] or
+   [absent]. *)
 type t = {
   solver : Solver.t;
   mode : mode;
-  var_lits : (int, Lit.t) Hashtbl.t;  (* formula var index -> solver literal *)
-  memo : (int, Lit.t) Hashtbl.t;  (* formula node id -> solver literal *)
-  done_pos : (int, unit) Hashtbl.t;  (* gate ids with l => def clauses out *)
-  done_neg : (int, unit) Hashtbl.t;  (* gate ids with def => l clauses out *)
-  root_done : (int, unit) Hashtbl.t;  (* nodes already asserted as roots *)
+  mutable var_lits : int array;  (* formula var index -> solver literal *)
+  mutable memo : int array;  (* formula node id -> solver literal *)
+  mutable flags : Bytes.t;  (* node id -> set of the flag bits below *)
+  mutable stamps : int array;  (* node id -> last [gather] call that kept it *)
+  mutable stamp : int;
   mutable const_true : Lit.t option;
   mutable n_clauses : int;
 }
+
+let absent = -1
+
+(* Flag bits: the gate's l => def clauses are out, its def => l clauses are
+   out, the node was already asserted as a root. *)
+let done_pos = 1
+
+let done_neg = 2
+
+let root_done = 4
 
 (* Cap on n-ary flattening: an And/Or spine wider than this is split into
    nested gates so no single definition clause grows unboundedly (long
@@ -24,14 +37,45 @@ let create ?(mode = Polarity) solver =
   {
     solver;
     mode;
-    var_lits = Hashtbl.create 256;
-    memo = Hashtbl.create 1024;
-    done_pos = Hashtbl.create 1024;
-    done_neg = Hashtbl.create 1024;
-    root_done = Hashtbl.create 64;
+    var_lits = Array.make 256 absent;
+    memo = Array.make 1024 absent;
+    flags = Bytes.make 1024 '\000';
+    stamps = Array.make 1024 0;
+    stamp = 0;
     const_true = None;
     n_clauses = 0;
   }
+
+(* A copy of [a] long enough to index [i], padded with [fill]. *)
+let grow_array a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Makes every per-node table cover node id [i]. *)
+let reserve t i =
+  if i >= Array.length t.memo then begin
+    t.memo <- grow_array t.memo i absent;
+    t.stamps <- grow_array t.stamps i 0;
+    let flags = Bytes.make (Array.length t.memo) '\000' in
+    Bytes.blit t.flags 0 flags 0 (Bytes.length t.flags);
+    t.flags <- flags
+  end
+
+let has_flag t id bit =
+  id < Bytes.length t.flags && Char.code (Bytes.get t.flags id) land bit <> 0
+
+let set_flag t id bit =
+  reserve t id;
+  Bytes.set t.flags id (Char.chr (Char.code (Bytes.get t.flags id) lor bit))
+
+let memo_find t id = if id < Array.length t.memo then t.memo.(id) else absent
+
+let memo_add t id l =
+  reserve t id;
+  t.memo.(id) <- Lit.to_int l
+
+let has_lit t id = memo_find t id <> absent
 
 (* One registry-wide counter across every converter instance. *)
 let m_clauses = lazy (Sepsat_obs.Metrics.counter "cnf.clauses")
@@ -41,15 +85,21 @@ let add_clause t c =
   Sepsat_obs.Metrics.incr (Lazy.force m_clauses);
   Solver.add_clause t.solver c
 
-let lit_of_var t i =
-  match Hashtbl.find_opt t.var_lits i with
-  | Some l -> l
-  | None ->
-    let l = Lit.pos (Solver.new_var t.solver) in
-    Hashtbl.add t.var_lits i l;
-    l
+let find_var t i =
+  if i < Array.length t.var_lits && t.var_lits.(i) <> absent then
+    Some (Lit.of_int t.var_lits.(i))
+  else None
 
-let find_var t i = Hashtbl.find_opt t.var_lits i
+let lit_of_var t i =
+  if i < Array.length t.var_lits && t.var_lits.(i) <> absent then
+    Lit.of_int t.var_lits.(i)
+  else begin
+    let l = Lit.pos (Solver.new_var t.solver) in
+    if i >= Array.length t.var_lits then
+      t.var_lits <- grow_array t.var_lits i absent;
+    t.var_lits.(i) <- Lit.to_int l;
+    l
+  end
 
 let true_lit t =
   match t.const_true with
@@ -63,9 +113,9 @@ let true_lit t =
 (* -- Full (both-direction, binary) conversion --------------------------- *)
 
 let rec encode_full t (f : Formula.t) =
-  match Hashtbl.find_opt t.memo f.id with
-  | Some l -> l
-  | None ->
+  let m = memo_find t f.id in
+  if m <> absent then Lit.of_int m
+  else
     let l =
       match f.node with
       | Formula.True -> true_lit t
@@ -87,31 +137,34 @@ let rec encode_full t (f : Formula.t) =
         add_clause t [ l; Lit.neg lb ];
         l
     in
-    Hashtbl.add t.memo f.id l;
+    memo_add t f.id l;
     l
 
 (* -- Polarity-aware (Plaisted-Greenbaum) conversion ---------------------- *)
 
 let gate_lit t (f : Formula.t) =
-  match Hashtbl.find_opt t.memo f.id with
-  | Some l -> l
-  | None ->
+  let m = memo_find t f.id in
+  if m <> absent then Lit.of_int m
+  else begin
     let l = Lit.pos (Solver.new_var t.solver) in
-    Hashtbl.add t.memo f.id l;
+    memo_add t f.id l;
     l
+  end
 
 (* Children of the same-connective spine rooted at [f] (an And or Or gate),
    deduplicated. Flattening stops at nodes that already carry a gate literal
-   (shared subformulas keep their single definition) and at [max_width]. *)
+   (shared subformulas keep their single definition) and at [max_width].
+   A node is already kept when its stamp equals this call's. *)
 let gather t (f : Formula.t) =
   let is_and = match f.node with Formula.And _ -> true | _ -> false in
-  let seen = Hashtbl.create 16 in
+  reserve t f.id;
+  t.stamp <- t.stamp + 1;
   let acc = ref [] in
   let count = ref 0 in
   let rec go (g : Formula.t) =
     let flatten =
       !count < max_width
-      && (not (Hashtbl.mem t.memo g.id))
+      && (not (has_lit t g.id))
       &&
       match (g.node, is_and) with
       | Formula.And _, true | Formula.Or _, false -> true
@@ -123,8 +176,8 @@ let gather t (f : Formula.t) =
         go a;
         go b
       | _ -> assert false
-    else if not (Hashtbl.mem seen g.id) then begin
-      Hashtbl.add seen g.id ();
+    else if t.stamps.(g.id) <> t.stamp then begin
+      t.stamps.(g.id) <- t.stamp;
       acc := g :: !acc;
       incr count
     end
@@ -149,10 +202,10 @@ let rec encode_pg t (f : Formula.t) ~pos ~neg =
   | Formula.Not g -> Lit.neg (encode_pg t g ~pos:neg ~neg:pos)
   | Formula.And _ | Formula.Or _ ->
     let l = gate_lit t f in
-    let need_pos = pos && not (Hashtbl.mem t.done_pos f.id) in
-    let need_neg = neg && not (Hashtbl.mem t.done_neg f.id) in
-    if need_pos then Hashtbl.add t.done_pos f.id ();
-    if need_neg then Hashtbl.add t.done_neg f.id ();
+    let need_pos = pos && not (has_flag t f.id done_pos) in
+    let need_neg = neg && not (has_flag t f.id done_neg) in
+    if need_pos then set_flag t f.id done_pos;
+    if need_neg then set_flag t f.id done_neg;
     if need_pos || need_neg then begin
       let children = gather t f in
       let clits =
@@ -180,17 +233,17 @@ let rec assert_root t (f : Formula.t) =
   match t.mode with
   | Full -> add_clause t [ encode_full t f ]
   | Polarity ->
-    if not (Hashtbl.mem t.root_done f.id) then begin
-      Hashtbl.add t.root_done f.id ();
+    if not (has_flag t f.id root_done) then begin
+      set_flag t f.id root_done;
       match f.node with
       | Formula.True -> ()
       | Formula.False -> add_clause t []
-      | Formula.And (a, b) when not (Hashtbl.mem t.memo f.id) ->
+      | Formula.And (a, b) when not (has_lit t f.id) ->
         (* A conjunctive root splits into several roots: no gate variable,
            no definition clauses. *)
         assert_root t a;
         assert_root t b
-      | Formula.Or _ when not (Hashtbl.mem t.memo f.id) ->
+      | Formula.Or _ when not (has_lit t f.id) ->
         (* A disjunctive root becomes a single clause over its children. *)
         let clits =
           List.map (fun g -> encode_pg t g ~pos:true ~neg:false) (gather t f)

@@ -156,6 +156,9 @@ let add_clause e lits =
         in
         pick 0 2;
         pick 1 2;
+        (* With only [arr.(1)] left non-false the clause is unit on it:
+           move it to the front so the unit case below propagates it. *)
+        if value e arr.(0) = -1 then swap 0 1;
         Vec.push (Vec.get e.watches (Lit.to_int (Lit.neg arr.(0)))) c;
         Vec.push (Vec.get e.watches (Lit.to_int (Lit.neg arr.(1)))) c;
         let entry =

@@ -263,6 +263,46 @@ let test_regressions () =
         all_methods)
     regression_cases
 
+(* Golden CNF shape: clause counts (Polarity and certified Full Tseitin),
+   transitivity constraints and F_bool DAG size for a few small suite
+   entries. The front end is deterministic, so any change to these numbers
+   is a change to the CNF and must update this table knowingly. *)
+let golden_cnf =
+  [
+    (* bench, method, cnf_clauses, certified cnf_clauses, trans, bool_size *)
+    ("pipe.3", Decide.Sd, 8699, 11470, 0, 4297);
+    ("pipe.3", Decide.Eij, 22790, 46978, 4366, 20447);
+    ("pipe.3", Decide.Hybrid_default, 11586, 25714, 2408, 11423);
+    ("cache.5", Decide.Sd, 3286, 5137, 0, 2129);
+    ("cache.5", Decide.Eij, 4552, 13390, 1518, 6281);
+    ("cache.5", Decide.Hybrid_default, 4552, 13390, 1518, 6281);
+    ("batch.0", Decide.Sd, 22683, 53230, 0, 19869);
+    ("batch.0", Decide.Eij, 52082, 155080, 21142, 75013);
+    ("batch.0", Decide.Hybrid_default, 52082, 155080, 21142, 75013);
+  ]
+
+let cnf_shape name method_ =
+  let bench = Option.get (Suite.find name) in
+  let run ~certify =
+    let ctx = Ast.create_ctx () in
+    Decide.decide ~method_ ~certify ctx (bench.Suite.build ctx)
+  in
+  let r = run ~certify:false and rc = run ~certify:true in
+  let es = Option.get r.Decide.encode_stats in
+  ( (r.Decide.cnf_clauses, rc.Decide.cnf_clauses),
+    (es.Sepsat_encode.Hybrid.trans_constraints, es.Sepsat_encode.Hybrid.bool_size)
+  )
+
+let test_golden_cnf () =
+  List.iter
+    (fun (name, m, clauses, certified, trans, size) ->
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%s %s: clauses, certified clauses, trans, bool_size"
+           name (method_name m))
+        ((clauses, certified), (trans, size))
+        (cnf_shape name m))
+    golden_cnf
+
 let () =
   Alcotest.run "integration"
     [
@@ -284,5 +324,6 @@ let () =
         [
           Alcotest.test_case "parse and decide" `Quick test_parse_decide;
           Alcotest.test_case "regressions" `Quick test_regressions;
+          Alcotest.test_case "golden cnf shape" `Quick test_golden_cnf;
         ] );
     ]

@@ -198,6 +198,155 @@ let prop_full_model_faithful =
         F.eval assign f
       | Solver.Unsat | Solver.Unknown -> true)
 
+(* -- The flat hash-cons table and Tseitin's dense arrays ------------------ *)
+
+(* Builds [n] random nodes over [nvars] variables, each from earlier nodes,
+   so the table grows well past its initial capacity. *)
+let random_dag ~seed ~nvars n =
+  let rs = Random.State.make [| seed |] in
+  let ctx = F.create_ctx () in
+  let nodes = Array.make (nvars + n) (F.tru ctx) in
+  for i = 0 to nvars - 1 do
+    nodes.(i) <- F.fresh_var ctx
+  done;
+  for i = nvars to nvars + n - 1 do
+    let pick () = nodes.(Random.State.int rs i) in
+    nodes.(i) <-
+      (match Random.State.int rs 5 with
+      | 0 -> F.not_ ctx (pick ())
+      | 1 | 2 -> F.and_ ctx (pick ()) (pick ())
+      | _ -> F.or_ ctx (pick ()) (pick ()))
+  done;
+  (ctx, nodes)
+
+let children (f : F.t) =
+  match f.F.node with
+  | F.True | F.False | F.Var _ -> []
+  | F.Not g -> [ g ]
+  | F.And (a, b) | F.Or (a, b) -> [ a; b ]
+
+let test_hashcons_growth () =
+  let ctx, nodes = random_dag ~seed:7 ~nvars:40 60_000 in
+  let by_shape = Hashtbl.create 4096 in
+  let distinct = Hashtbl.create 4096 in
+  Array.iter
+    (fun (f : F.t) ->
+      Hashtbl.replace distinct f.F.id ();
+      List.iter
+        (fun (g : F.t) ->
+          if g.F.id >= f.F.id then
+            Alcotest.failf "child id %d not below parent id %d" g.F.id f.F.id)
+        (children f);
+      (* Rebuilding a node from its children finds the stored node. *)
+      let again =
+        match f.F.node with
+        | F.True -> F.tru ctx
+        | F.False -> F.fls ctx
+        | F.Var i -> F.var ctx i
+        | F.Not g -> F.not_ ctx g
+        | F.And (a, b) -> F.and_ ctx b a
+        | F.Or (a, b) -> F.or_ ctx b a
+      in
+      if again != f then Alcotest.failf "node %d rebuilt as a copy" f.F.id;
+      (* Structurally equal nodes are one physical node. *)
+      let shape =
+        match f.F.node with
+        | F.True -> (0, -1, -1)
+        | F.False -> (1, -1, -1)
+        | F.Var i -> (2, i, -1)
+        | F.Not g -> (3, g.F.id, -1)
+        | F.And (a, b) -> (4, a.F.id, b.F.id)
+        | F.Or (a, b) -> (5, a.F.id, b.F.id)
+      in
+      match Hashtbl.find_opt by_shape shape with
+      | Some g when g != f -> Alcotest.failf "node %d duplicated" f.F.id
+      | Some _ -> ()
+      | None -> Hashtbl.add by_shape shape f)
+    nodes;
+  (* Far more nodes than the initial 4096 slots hold at half load. *)
+  Alcotest.(check bool) "table grew" true (Hashtbl.length distinct > 16 * 2048)
+
+let reference_size root =
+  let seen = Hashtbl.create 64 in
+  let rec go (f : F.t) =
+    if not (Hashtbl.mem seen f.F.id) then begin
+      Hashtbl.add seen f.F.id ();
+      List.iter go (children f)
+    end
+  in
+  go root;
+  Hashtbl.length seen
+
+let test_size_reference () =
+  let _ctx, nodes = random_dag ~seed:11 ~nvars:30 20_000 in
+  let rs = Random.State.make [| 3 |] in
+  for _ = 1 to 200 do
+    let f = nodes.(Random.State.int rs (Array.length nodes)) in
+    Alcotest.(check int) "size" (reference_size f) (F.size f)
+  done;
+  let last = nodes.(Array.length nodes - 1) in
+  Alcotest.(check int) "last node" (reference_size last) (F.size last)
+
+(* Both conversions on formulas whose node ids and variable indices lie
+   past the converter's initial array sizes. Only the last [nvars]
+   variables are used, so brute force stays cheap. *)
+let test_tseitin_large_ids () =
+  let nvars = 8 in
+  let rs = Random.State.make [| 5 |] in
+  for round = 1 to 40 do
+    let ctx = F.create_ctx () in
+    let all = Array.init (300 + nvars) (fun _ -> F.fresh_var ctx) in
+    (* Unused nodes push the ids of the formula past 1024. *)
+    for i = 0 to 299 do
+      ignore (F.and_ ctx all.(i) all.((i + 1) mod 300));
+      ignore (F.or_ ctx all.(i) all.((i + 7) mod 300));
+      ignore (F.not_ ctx (F.and_ ctx all.(i) all.((i + 3) mod 300)))
+    done;
+    let vars = Array.sub all 300 nvars in
+    let rec gen depth =
+      if depth = 0 then
+        let v = vars.(Random.State.int rs nvars) in
+        if Random.State.bool rs then v else F.not_ ctx v
+      else
+        match Random.State.int rs 3 with
+        | 0 -> F.and_ ctx (gen (depth - 1)) (gen (depth - 1))
+        | 1 -> F.or_ ctx (gen (depth - 1)) (gen (depth - 1))
+        | _ -> F.iff ctx (gen (depth - 1)) (gen (depth - 1))
+    in
+    let f = gen 5 in
+    if round = 1 && f.F.id < 1024 then Alcotest.fail "formula ids too small";
+    let sat_brute =
+      let rec loop a v =
+        if v = nvars then F.eval (fun i -> a.(i - 300)) f
+        else begin
+          a.(v) <- true;
+          loop a (v + 1)
+          ||
+          (a.(v) <- false;
+           loop a (v + 1))
+        end
+      in
+      loop (Array.make nvars false) 0
+    in
+    List.iter
+      (fun mode ->
+        let solver = Solver.create () in
+        let ts = Tseitin.create ~mode solver in
+        Tseitin.assert_root ts f;
+        match Solver.solve solver with
+        | Solver.Sat ->
+          let assign i =
+            match Tseitin.find_var ts i with
+            | Some lit -> Solver.value solver lit
+            | None -> false
+          in
+          Alcotest.(check bool) "brute force sat" true sat_brute;
+          Alcotest.(check bool) "model satisfies" true (F.eval assign f)
+        | Solver.Unsat -> Alcotest.(check bool) "brute force unsat" false sat_brute
+        | Solver.Unknown -> Alcotest.fail "unknown")
+      [ Tseitin.Polarity; Tseitin.Full ]
+  done
+
 let () =
   Alcotest.run "prop"
     [
@@ -208,10 +357,15 @@ let () =
           Alcotest.test_case "derived connectives" `Quick test_derived;
           Alcotest.test_case "size and sharing" `Quick test_size_sharing;
           Alcotest.test_case "variable errors" `Quick test_var_errors;
+          Alcotest.test_case "hash-cons table growth" `Quick
+            test_hashcons_growth;
+          Alcotest.test_case "size matches reference" `Quick test_size_reference;
         ] );
       ( "tseitin",
         [
           Alcotest.test_case "clause count" `Quick test_tseitin_clause_count;
+          Alcotest.test_case "large ids, both modes" `Quick
+            test_tseitin_large_ids;
           QCheck_alcotest.to_alcotest prop_tseitin_equisat;
           QCheck_alcotest.to_alcotest prop_pg_matches_full;
           QCheck_alcotest.to_alcotest prop_full_model_faithful;

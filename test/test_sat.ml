@@ -278,6 +278,24 @@ let test_proof_tampering_detected () =
   Alcotest.check drup_result_t "incomplete" Drup_check.Incomplete
     (Drup_check.check partial)
 
+let test_proof_unit_on_first_watch () =
+  (* Adding (2 6) after 9 and (-2 -9) have forced -2: the clause's first
+     sorted literal is false and its second unassigned, so it is unit and
+     must propagate 6 for the empty clause to be RUP. *)
+  let c = List.map Lit.of_dimacs in
+  let trace =
+    [
+      Proof.Input (c [ -6; 7 ]);
+      Proof.Input (c [ -6; -7 ]);
+      Proof.Input (c [ -2; -9 ]);
+      Proof.Input (c [ 9 ]);
+      Proof.Input (c [ 2; 6 ]);
+      Proof.Learned [];
+    ]
+  in
+  Alcotest.check drup_result_t "certified" Drup_check.Certified
+    (Drup_check.check trace)
+
 let test_proof_dimacs_output () =
   let p = Proof.create () in
   Proof.input p [ Lit.of_dimacs 1; Lit.of_dimacs (-2) ];
@@ -635,6 +653,8 @@ let () =
           Alcotest.test_case "tampering detected" `Quick
             test_proof_tampering_detected;
           Alcotest.test_case "dimacs output" `Quick test_proof_dimacs_output;
+          Alcotest.test_case "unit on first watch" `Quick
+            test_proof_unit_on_first_watch;
           Alcotest.test_case "deletion honoured" `Quick
             test_proof_deletion_honoured;
           Alcotest.test_case "phantom deletion" `Quick
