@@ -1,12 +1,10 @@
 (* Benchmark driver: regenerates every table and figure of the paper's
-   evaluation section (Figures 2-6 plus the SEP_THOLD selection of 4.1), then
-   runs one Bechamel micro-benchmark per artifact on a small representative.
+   evaluation section (Figures 2-6 plus the SEP_THOLD selection of 4.1).
 
    Usage:
-     main.exe                 all figures (default 30s/run deadline) + micro
+     main.exe                 all figures (default 30s/run deadline)
      main.exe --figure 4      one artifact
      main.exe --deadline 30   per-run CPU budget in seconds
-     main.exe --no-micro      skip the Bechamel pass
      main.exe --json OUT.json write every recorded run as JSON
      main.exe --strict        exit 1 if any run ended Unknown
      main.exe --repeat 3      run the selected figure(s) K times (min-of-k)
@@ -19,11 +17,8 @@
 
 module Experiments = Sepsat_harness.Experiments
 module Runner = Sepsat_harness.Runner
-module Suite = Sepsat_workloads.Suite
 module Decide = Sepsat.Decide
 module Verdict = Sepsat_sep.Verdict
-module Ast = Sepsat_suf.Ast
-module Deadline = Sepsat_util.Deadline
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Chrome_trace = Sepsat_obs.Chrome_trace
@@ -31,8 +26,6 @@ module Chrome_trace = Sepsat_obs.Chrome_trace
 let deadline_s = ref 30.
 
 let figure = ref "all"
-
-let micro_enabled = ref true
 
 let json_path = ref ""
 
@@ -62,7 +55,7 @@ let compare_abs = ref 0.05
 
 let usage =
   "main.exe [--figure 2|3|threshold|4|5|6|portfolio|parallel|all] [--deadline S] \
-   [--no-micro] [--json PATH] [--strict] [--trace PATH] [--stats] \
+   [--json PATH] [--strict] [--trace PATH] [--stats] \
    [--log-level quiet|info|debug] [--repeat K] [--flight] [--baseline-out PATH] \
    [--compare PATH] [--compare-rel R] [--compare-abs S] \
    [--compare-current PATH]"
@@ -71,7 +64,6 @@ let spec =
   [
     ("--figure", Arg.Set_string figure, " which artifact to regenerate");
     ("--deadline", Arg.Set_float deadline_s, " per-run CPU budget (s)");
-    ("--no-micro", Arg.Clear micro_enabled, " skip Bechamel micro-benchmarks");
     ( "--json",
       Arg.Set_string json_path,
       " write every recorded run to PATH (schema-2 report object)" );
@@ -110,62 +102,6 @@ let spec =
       " with --compare: read the current run from a saved report at PATH \
        instead of benchmarking" );
   ]
-
-(* -- Bechamel micro-benchmarks: one per paper artifact ------------------- *)
-
-let decide_bench method_ bench_name () =
-  match Suite.find bench_name with
-  | None -> invalid_arg bench_name
-  | Some b ->
-    let ctx = Ast.create_ctx () in
-    let f = b.Suite.build ctx in
-    ignore (Decide.decide ~method_ ~deadline:(Deadline.after 10.) ctx f)
-
-let micro ppf =
-  let open Bechamel in
-  let stage name method_ bench =
-    Test.make ~name (Staged.stage (decide_bench method_ bench))
-  in
-  let tests =
-    Test.make_grouped ~name:"sepsat"
-      [
-        (* Figure 2: SD vs EIJ encodings feeding the CDCL solver *)
-        stage "fig2-sd-lsu.3" Decide.Sd "lsu.3";
-        stage "fig2-eij-lsu.3" Decide.Eij "lsu.3";
-        (* Figure 3: EIJ cost around the separation-predicate knee *)
-        stage "fig3-eij-cache.4" Decide.Eij "cache.4";
-        (* Figure 4: the hybrid on a non-invariant benchmark *)
-        stage "fig4-hybrid-pipe.4" Decide.Hybrid_default "pipe.4";
-        (* Figure 5: SD on an invariant-checking benchmark *)
-        stage "fig5-sd-ooo.0" Decide.Sd "ooo.0";
-        (* Figure 6: the lazy baseline *)
-        stage "fig6-lazy-cache.4" Decide.Lazy_baseline "cache.4";
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 1.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Format.fprintf ppf "== Bechamel micro-benchmarks (ns/run, OLS) ==@.";
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        let est =
-          match Analyze.OLS.estimates res with
-          | Some (e :: _) -> e
-          | Some [] | None -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, est) ->
-      Format.fprintf ppf "%-28s %14.0f ns/run  (%.3f s)@." name est (est /. 1e9))
-    rows;
-  Format.fprintf ppf "@."
 
 let () =
   Arg.parse (Arg.align spec) (fun a -> raise (Arg.Bad a)) usage;
@@ -211,7 +147,6 @@ let () =
     Format.fprintf ppf "wrote %d baseline entries to %s@."
       (List.length entries) !baseline_out
   end;
-  if !micro_enabled && !figure = "all" && not offline then micro ppf;
   if !trace_path <> "" then begin
     Chrome_trace.write_current !trace_path;
     Format.fprintf ppf "wrote trace to %s@." !trace_path

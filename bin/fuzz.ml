@@ -85,7 +85,7 @@ let parallel_arg =
     & opt (enum parallel_modes) `Off
     & info [ "parallel" ] ~docv:"MODE"
         ~doc:
-          "Cross-check the structure-parallel strategies (COMPONENTS, CUBE) \
+          "Cross-check the structure-parallel strategy (COMPONENTS) \
            against the sequential procedures: $(b,on) every iteration, \
            $(b,off) (default) never, or $(b,vary) on an independent bit of \
            the iteration seed.")

@@ -19,7 +19,6 @@
 module Ast = Sepsat_suf.Ast
 module Parse = Sepsat_suf.Parse
 module Decide = Sepsat.Decide
-module Countermodel = Sepsat.Countermodel
 module Verdict = Sepsat_sep.Verdict
 module Brute = Sepsat_sep.Brute
 module Deadline = Sepsat_util.Deadline
@@ -62,7 +61,7 @@ let method_conv =
         (`Msg
           (Printf.sprintf
              "unknown method %S (expected sd, eij, hybrid, hybrid:<n>, svc, \
-              lazy, portfolio, components, cube)"
+              lazy, portfolio, components)"
              s))
   in
   let print ppf m = Decide.pp_method ppf m in
@@ -81,7 +80,7 @@ let method_arg =
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
           "Decision method: sd, eij, hybrid, hybrid:N, svc, lazy, \
-           portfolio, components or cube.")
+           portfolio or components.")
 
 let portfolio_arg =
   Arg.(
@@ -409,7 +408,7 @@ let cnf_cmd =
         | Decide.Hybrid_default -> Sepsat_encode.Hybrid.default
         | Decide.Hybrid_at t -> Sepsat_encode.Hybrid.hybrid ~threshold:t ()
         | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
-        | Decide.Components | Decide.Cube_and_conquer ->
+        | Decide.Components ->
           Format.eprintf "cnf export requires a single eager method@.";
           exit 2
       in

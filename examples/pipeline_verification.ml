@@ -8,7 +8,7 @@ module Ast = Sepsat_suf.Ast
 module Interp = Sepsat_suf.Interp
 module Pipeline = Sepsat_workloads.Pipeline
 module Decide = Sepsat.Decide
-module Countermodel = Sepsat.Countermodel
+module Witness = Sepsat.Witness
 module Verdict = Sepsat_sep.Verdict
 
 let () =
@@ -36,7 +36,9 @@ let () =
   match r.Decide.verdict with
   | Verdict.Invalid assignment ->
     Format.printf "  bug found; lifting the countermodel to first order:@.";
-    let interp = Countermodel.lift r.Decide.elim assignment in
+    let interp =
+      Witness.to_interp (Witness.of_assignment r.Decide.elim assignment)
+    in
     (* Replay: the interpretation must falsify the original formula. *)
     let value = Interp.eval interp buggy in
     Format.printf "  formula value under the countermodel: %b (expected \

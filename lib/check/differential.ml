@@ -21,12 +21,8 @@ let procedure_of_method ?(timeout = 10.) method_ =
        eager pipeline), so a Valid answer must carry a certificate. *)
     | Decide.Components -> true
     (* Portfolio certifies through its winning eager member, but DRUP traces
-       are not yet plumbed out of the race, so don't demand one. CUBE builds
-       its verdict from per-cube assumption cores — no single checkable
-       clause stream exists. *)
-    | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
-    | Decide.Cube_and_conquer ->
-      false
+       are not yet plumbed out of the race, so don't demand one. *)
+    | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio -> false
   in
   {
     name = Format.asprintf "%a" Decide.pp_method method_;
@@ -172,7 +168,7 @@ type summary = {
   failures : counterexample list;
 }
 
-let parallel_methods = [ Decide.Components; Decide.Cube_and_conquer ]
+let parallel_methods = [ Decide.Components ]
 
 let parallel_procedures ?timeout () =
   List.map (procedure_of_method ?timeout) parallel_methods

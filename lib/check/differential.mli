@@ -25,14 +25,14 @@ type procedure = {
 
 val procedure_of_method : ?timeout:float -> Decide.method_ -> procedure
 (** Eager methods and COMPONENTS run with [~certify:true] and
-    [expect_proof = true]; baselines, PORTFOLIO and CUBE produce no proofs.
+    [expect_proof = true]; baselines and PORTFOLIO produce no proofs.
     [timeout] (seconds, default 10) bounds each call. *)
 
 val default_procedures : ?timeout:float -> unit -> procedure list
 (** SD, EIJ, HYBRID at thresholds 0 / default / max, SVC and LAZY. *)
 
 val parallel_methods : Decide.method_ list
-(** [Components; Cube_and_conquer] — the structure-parallel strategies. *)
+(** [[Components]] — the structure-parallel strategy. *)
 
 val parallel_procedures : ?timeout:float -> unit -> procedure list
 (** {!parallel_methods} as procedures, for cross-checking the parallel
@@ -104,7 +104,7 @@ val fuzz :
     core face the same formula stream. [parallel] (default [`Off]) adds
     {!parallel_procedures} to the comparison: [`On] every iteration, [`Vary]
     on an independent bit of the iteration seed ([gen_seed land 2]), so the
-    component and cube verdicts are cross-checked against the sequential
+    component verdicts are cross-checked against the sequential
     procedures on the same formulas; [parallel_timeout] bounds those calls
     like [timeout] does in {!procedure_of_method}. [log] receives one-line
     progress messages (default: silent). *)

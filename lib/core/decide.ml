@@ -23,7 +23,6 @@ type method_ =
   | Lazy_baseline
   | Portfolio
   | Components
-  | Cube_and_conquer
 
 let pp_method ppf = function
   | Sd -> Format.pp_print_string ppf "SD"
@@ -35,7 +34,6 @@ let pp_method ppf = function
   | Lazy_baseline -> Format.pp_print_string ppf "LAZY"
   | Portfolio -> Format.pp_print_string ppf "PORTFOLIO"
   | Components -> Format.pp_print_string ppf "COMPONENTS"
-  | Cube_and_conquer -> Format.pp_print_string ppf "CUBE"
 
 let method_of_string s =
   match String.lowercase_ascii s with
@@ -46,7 +44,6 @@ let method_of_string s =
   | "lazy" -> Some Lazy_baseline
   | "portfolio" -> Some Portfolio
   | "components" -> Some Components
-  | "cube" | "cube-and-conquer" -> Some Cube_and_conquer
   | s -> (
     match String.index_opt s ':' with
     | Some i when String.sub s 0 i = "hybrid" -> (
@@ -81,8 +78,7 @@ let eager_config = function
   | Eij -> Hybrid.eij_only
   | Hybrid_default -> Hybrid.default
   | Hybrid_at t -> Hybrid.hybrid ~threshold:t ()
-  | Svc_baseline | Lazy_baseline | Portfolio | Components | Cube_and_conquer
-    ->
+  | Svc_baseline | Lazy_baseline | Portfolio | Components ->
     invalid_arg "Decide.eager_config: not an eager method"
 
 (* Process-wide default for SatELite-style pre/inprocessing in every
@@ -311,38 +307,6 @@ let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
       winner = None;
     }
 
-let decide_cubes ?stop ?simplify ~deadline ~certify:_ ctx formula =
-  let t0 = Deadline.wall_now () in
-  let deadline = wall_of deadline in
-  let elim =
-    Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
-  in
-  let t_elim = Deadline.wall_now () in
-  let q =
-    Obs.span ~cat:"pipeline" "cube" (fun () ->
-        Parallel.solve_cubes ?stop ?simplify ~config:Hybrid.default ~deadline
-          ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula)
-  in
-  let t1 = Deadline.wall_now () in
-  let verdict = q.Parallel.qr_verdict in
-  let phase t = try List.assoc t q.Parallel.qr_phases with Not_found -> 0. in
-  {
-    verdict;
-    (* No DRUP certificate: the verdict is assembled from per-cube
-       assumption cores, not one checkable clause stream. *)
-    certified = None;
-    witness = witness_of elim verdict;
-    elim;
-    translate_time = (t_elim -. t0) +. phase "encode" +. phase "cnf";
-    sat_time = phase "probe" +. phase "cube";
-    total_time = t1 -. t0;
-    phase_times = ("elim", t_elim -. t0) :: q.Parallel.qr_phases;
-    cnf_clauses = q.Parallel.qr_cnf_clauses;
-    sat_stats = q.Parallel.qr_sat_stats;
-    encode_stats = q.Parallel.qr_encode_stats;
-    winner = None;
-  }
-
 (* -- Multicore portfolio -------------------------------------------------- *)
 
 let portfolio_members = [ Sd; Eij; Hybrid_default; Components ]
@@ -355,8 +319,6 @@ let decide_member m ~stop ?simplify ~deadline ~certify ctx formula =
       ctx formula
   | Components ->
     decide_components ~stop ?simplify ~deadline ~certify ctx formula
-  | Cube_and_conquer ->
-    decide_cubes ~stop ?simplify ~deadline ~certify ctx formula
   | Svc_baseline | Lazy_baseline | Portfolio ->
     invalid_arg "Decide.decide_member: not a racing member"
 
@@ -433,7 +395,6 @@ let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
   | Lazy_baseline -> decide_lazy ?simplify ~deadline ctx formula
   | Portfolio -> decide_portfolio ?simplify ~deadline ~certify ctx formula
   | Components -> decide_components ?simplify ~deadline ~certify ctx formula
-  | Cube_and_conquer -> decide_cubes ?simplify ~deadline ~certify ctx formula
 
 (* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
 

@@ -29,17 +29,12 @@ type method_ =
           ({!Sepsat_sep.Component}) and decides them concurrently on a
           domain pool ({!Parallel.solve_components}); single-component
           formulas fall back to the sequential HYBRID path *)
-  | Cube_and_conquer
-      (** one encoding, probed briefly to rank VSIDS variables, then split
-          into [2^k] assumption cubes fanned over the pool
-          ({!Parallel.solve_cubes}) *)
 
 val pp_method : Format.formatter -> method_ -> unit
 
 val method_of_string : string -> method_ option
 (** Accepts ["sd"], ["eij"], ["hybrid"], ["hybrid:<n>"], ["svc"],
-    ["lazy"], ["portfolio"], ["components"], ["cube"]
-    (or ["cube-and-conquer"]). *)
+    ["lazy"], ["portfolio"], ["components"]. *)
 
 type result = {
   verdict : Verdict.t;
@@ -48,8 +43,7 @@ type result = {
           the winning UNSAT component's solver logs the proof): [Some true]
           iff the [Valid] verdict's DRUP trace passed the independent
           {!Sepsat_sat.Drup_check} replay; [None] when certification was not
-          requested or not applicable ({!Cube_and_conquer} never certifies —
-          its verdict is assembled from per-cube assumption cores) *)
+          requested or not applicable *)
   witness : Witness.t option;
       (** for an [Invalid] verdict, the falsifying assignment lifted to a
           concrete first-order interpretation of the original formula
@@ -58,7 +52,7 @@ type result = {
   elim : Sepsat_suf.Elim.result;
       (** the function-elimination actually used; pass it (not a fresh
           re-elimination, whose fresh names would differ) to
-          {!Countermodel.lift} *)
+          {!Witness.of_assignment} *)
   translate_time : float;  (** seconds spent producing the CNF / abstraction *)
   sat_time : float;  (** seconds inside the SAT/theory search *)
   total_time : float;
@@ -67,10 +61,9 @@ type result = {
           methods report [elim]/[encode]/[cnf]/[sat] (so [translate_time] =
           elim + encode + cnf); SVC and LAZY report [elim]/[search];
           COMPONENTS reports [elim]/[split]/[solve] (or, degenerating to the
-          sequential path, [elim]/[split]/[encode]/[cnf]/[sat]); CUBE reports
-          [elim]/[encode]/[cnf]/[probe]/[cube]. On an [Unknown] from a
-          translation blowup or timeout the list stops at the phase that gave
-          up, which names the culprit. Same CPU clock as the coarse fields
+          sequential path, [elim]/[split]/[encode]/[cnf]/[sat]). On an
+          [Unknown] from a translation blowup or timeout the list stops at
+          the phase that gave up, which names the culprit. Same CPU clock as the coarse fields
           for the sequential methods; the parallel methods (and the
           {!Sepsat_obs} spans emitted alongside) use wall time. *)
   cnf_clauses : int;  (** CNF clauses handed to the solver (0 for SVC) *)
@@ -94,10 +87,10 @@ val decide :
   result
 (** Validity of a SUF formula; defaults to [Hybrid_default]. An [Invalid]
     verdict carries a falsifying assignment of the eliminated formula; use
-    {!Countermodel.lift} (with {!eliminate}'s output) to obtain a first-order
-    interpretation falsifying the original formula. [simplify] enables the
-    SAT core's SatELite-style pre/inprocessing; it defaults to
-    {!simplify_default} (initially on). *)
+    {!Witness.of_assignment} (with the result's [elim]) and
+    {!Witness.to_interp} to obtain a first-order interpretation falsifying
+    the original formula. [simplify] enables the SAT core's SatELite-style
+    pre/inprocessing; it defaults to {!simplify_default} (initially on). *)
 
 val set_simplify_default : bool -> unit
 (** Sets the process-wide default for the [?simplify] arguments of {!decide}

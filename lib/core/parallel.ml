@@ -1,6 +1,6 @@
 module Ast = Sepsat_suf.Ast
-module Parse = Sepsat_suf.Parse
 module Sset = Sepsat_util.Sset
+module Parse = Sepsat_suf.Parse
 module Brute = Sepsat_sep.Brute
 module Component = Sepsat_sep.Component
 module Verdict = Sepsat_sep.Verdict
@@ -8,17 +8,12 @@ module Hybrid = Sepsat_encode.Hybrid
 module F = Sepsat_prop.Formula
 module Tseitin = Sepsat_prop.Tseitin
 module Solver = Sepsat_sat.Solver
-module Lit = Sepsat_sat.Lit
 module Deadline = Sepsat_util.Deadline
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Trace_ctx = Sepsat_obs.Trace_ctx
 
 let m_components = lazy (Metrics.counter "parallel.components")
-
-let m_cubes = lazy (Metrics.counter "parallel.cubes")
-
-let m_cubes_pruned = lazy (Metrics.counter "parallel.cubes_pruned")
 
 let default_pool () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
@@ -291,238 +286,3 @@ let solve_components ?pool ?simplify ?stop ?p_value ~config ~deadline ~certify
     cr_cnf_clauses = cnf_clauses;
     cr_sat_stats = stats;
   }
-
-(* -- Cube-and-conquer ------------------------------------------------------ *)
-
-type cubes_result = {
-  qr_verdict : Verdict.t;
-  qr_assignment : Brute.assignment option;
-  qr_n_cubes : int;
-  qr_pruned : int;
-  qr_pool : int;
-  qr_cnf_clauses : int;
-  qr_sat_stats : Solver.stats option;
-  qr_encode_stats : Hybrid.stats option;
-  qr_phases : (string * float) list;
-}
-
-(* A cube containing every literal of a failed-assumption core is
-   unsatisfiable by subsumption — the sibling that produced the core already
-   did the work. *)
-let cube_subsumed cores cube =
-  List.exists
-    (fun core ->
-      List.for_all (fun l -> Array.exists (Lit.equal l) cube) core)
-    cores
-
-let solve_cubes ?pool ?simplify ?stop ?(k = 4) ?(probe_budget = 2000) ~config
-    ~deadline ctx ~p_consts formula =
-  let pool = match pool with Some p -> max 1 p | None -> default_pool () in
-  let simplify =
-    match simplify with Some b -> b | None -> Atomic.get Decide_flags.simplify
-  in
-  let pool_stop = Atomic.make false in
-  let deadline =
-    let d =
-      match stop with
-      | Some flag -> Deadline.with_stop deadline flag
-      | None -> deadline
-    in
-    Deadline.with_stop d pool_stop
-  in
-  let t0 = Deadline.wall_now () in
-  let unknown ~phases why =
-    {
-      qr_verdict = Verdict.Unknown why;
-      qr_assignment = None;
-      qr_n_cubes = 0;
-      qr_pruned = 0;
-      qr_pool = 0;
-      qr_cnf_clauses = 0;
-      qr_sat_stats = None;
-      qr_encode_stats = None;
-      qr_phases = phases;
-    }
-  in
-  match
-    Obs.span ~cat:"parallel" "cube.encode" (fun () ->
-        Hybrid.encode ~config ~deadline ctx ~p_consts formula)
-  with
-  | exception Hybrid.Translation_blowup ->
-    unknown
-      ~phases:[ ("encode", Deadline.wall_now () -. t0) ]
-      "translation blowup"
-  | exception Deadline.Timeout ->
-    unknown
-      ~phases:[ ("encode", Deadline.wall_now () -. t0) ]
-      (if Deadline.interrupted deadline then "cancelled" else "timeout")
-  | encoded ->
-    let t_enc = Deadline.wall_now () in
-    (* The master stays unsimplified so [export_cnf] hands workers the exact
-       problem clauses under the original numbering — worker models then
-       index master variables directly and [Tseitin.find_var] decodes them. *)
-    let master = Solver.create () in
-    Solver.set_simplify master false;
-    Solver.set_stop master pool_stop;
-    let tseitin = Tseitin.create ~mode:Tseitin.Polarity master in
-    Obs.span ~cat:"parallel" "cube.cnf" (fun () ->
-        Tseitin.assert_root tseitin
-          (F.not_ encoded.Hybrid.prop_ctx encoded.Hybrid.f_bool));
-    let t_cnf = Deadline.wall_now () in
-    let decode_with model =
-      let assign v =
-        match Tseitin.find_var tseitin v with
-        | Some lit ->
-          let b = model.(Lit.var lit) in
-          if Lit.sign lit then b else not b
-        | None -> false
-      in
-      encoded.Hybrid.decode assign
-    in
-    let probe =
-      Obs.span ~cat:"parallel" "cube.probe" (fun () ->
-          Solver.solve ~deadline ~conflict_budget:probe_budget master)
-    in
-    let t_probe = Deadline.wall_now () in
-    let phases_upto t =
-      [
-        ("encode", t_enc -. t0);
-        ("cnf", t_cnf -. t_enc);
-        ("probe", t_probe -. t_cnf);
-        ("cube", t -. t_probe);
-      ]
-    in
-    let finish ?assignment ?(n_cubes = 0) ?(pruned = 0) ?(pool = 0) verdict =
-      {
-        qr_verdict = verdict;
-        qr_assignment = assignment;
-        qr_n_cubes = n_cubes;
-        qr_pruned = pruned;
-        qr_pool = pool;
-        qr_cnf_clauses = Tseitin.clauses_added tseitin;
-        qr_sat_stats = Some (Solver.stats master);
-        qr_encode_stats = Some encoded.Hybrid.stats;
-        qr_phases = phases_upto (Deadline.wall_now ());
-      }
-    in
-    (match probe with
-    | Solver.Unsat -> finish Verdict.Valid
-    | Solver.Sat ->
-      let a = decode_with (Solver.model master) in
-      finish ~assignment:a (Verdict.Invalid a)
-    | Solver.Unknown when Deadline.exceeded deadline ->
-      finish
-        (Verdict.Unknown
-           (if Deadline.interrupted deadline then "cancelled" else "timeout"))
-    | Solver.Unknown ->
-      (* Budget exhausted: the probe seeded VSIDS — branch on its favorites. *)
-      let vars = Solver.top_vars master k in
-      if vars = [] then finish (Verdict.Unknown "no split variables")
-      else begin
-        let vars = Array.of_list vars in
-        let k' = Array.length vars in
-        let n_cubes = 1 lsl k' in
-        if Obs.enabled () then Metrics.add (Lazy.force m_cubes) n_cubes;
-        let nvars, clauses = Solver.export_cnf master in
-        let cube_of ix =
-          Array.init k' (fun j ->
-              Lit.make vars.(j) (ix land (1 lsl j) <> 0))
-        in
-        let next = Atomic.make 0 in
-        let sat_model : bool array option Atomic.t = Atomic.make None in
-        let db_unsat = Atomic.make false in
-        let any_unknown = Atomic.make false in
-        let pruned = Atomic.make 0 in
-        let cores_mu = Mutex.create () in
-        let cores : Lit.t list list ref = ref [] in
-        let worker () =
-          let solver = Solver.create () in
-          Solver.set_simplify solver simplify;
-          Solver.set_stop solver pool_stop;
-          for _ = 1 to nvars do
-            ignore (Solver.new_var solver)
-          done;
-          List.iter (Solver.add_clause solver) clauses;
-          let rec loop () =
-            let ix = Atomic.fetch_and_add next 1 in
-            if ix < n_cubes && not (Atomic.get pool_stop) then begin
-              let cube = cube_of ix in
-              let known_cores =
-                Mutex.lock cores_mu;
-                let cs = !cores in
-                Mutex.unlock cores_mu;
-                cs
-              in
-              if cube_subsumed known_cores cube then begin
-                Atomic.incr pruned;
-                if Obs.enabled () then
-                  Metrics.incr (Lazy.force m_cubes_pruned)
-              end
-              else
-                Obs.span ~cat:"parallel"
-                  (Printf.sprintf "cube:%d" ix)
-                  (fun () ->
-                    match
-                      Solver.solve ~deadline
-                        ~assumptions:(Array.to_list cube) solver
-                    with
-                    | Solver.Sat ->
-                      if
-                        Atomic.compare_and_set sat_model None
-                          (Some (Solver.model solver))
-                      then begin
-                        Atomic.set pool_stop true;
-                        Obs.instant ~cat:"parallel" "cube.sat"
-                      end
-                    | Solver.Unsat -> (
-                      match Solver.unsat_core solver with
-                      | [] ->
-                        (* The database alone is unsatisfiable — every
-                           sibling cube is moot. *)
-                        Atomic.set db_unsat true;
-                        Atomic.set pool_stop true;
-                        Obs.instant ~cat:"parallel" "cube.db_unsat"
-                      | core ->
-                        Mutex.lock cores_mu;
-                        cores := core :: !cores;
-                        Mutex.unlock cores_mu)
-                    | Solver.Unknown -> Atomic.set any_unknown true);
-              loop ()
-            end
-          in
-          loop ()
-        in
-        let n_domains = max 1 (min pool n_cubes) in
-        let gen = next_pool_gen () in
-        let tctx = Trace_ctx.capture () in
-        Obs.span ~cat:"parallel" "cube.pool" (fun () ->
-            if n_domains = 1 then worker ()
-            else
-              let domains =
-                List.init n_domains (fun w ->
-                    Domain.spawn (fun () ->
-                        Obs.name_thread
-                          (Printf.sprintf "cubes#%d:w%d" gen w);
-                        Trace_ctx.with_ctx tctx worker))
-              in
-              List.iter Domain.join domains);
-        let pruned = Atomic.get pruned in
-        match Atomic.get sat_model with
-        | Some model ->
-          let a = decode_with model in
-          finish ~assignment:a ~n_cubes ~pruned ~pool:n_domains
-            (Verdict.Invalid a)
-        | None ->
-          if Atomic.get db_unsat then
-            finish ~n_cubes ~pruned ~pool:n_domains Verdict.Valid
-          else if Atomic.get any_unknown || Atomic.get next < n_cubes then
-            finish ~n_cubes ~pruned ~pool:n_domains
-              (Verdict.Unknown
-                 (if Deadline.interrupted deadline then "cancelled"
-                  else "timeout"))
-          else
-            (* Every cube came back unsatisfiable (or was pruned by a core,
-               which implies the same): the cubes are a tautology over the
-               split variables, so the database is unsatisfiable. *)
-            finish ~n_cubes ~pruned ~pool:n_domains Verdict.Valid
-      end)

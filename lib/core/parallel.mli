@@ -1,24 +1,12 @@
-(** Structure-parallel solving: independent components on a domain pool, and
-    cube-and-conquer for instances that refuse to split (ROADMAP item 3).
+(** Structure-parallel solving: independent components on a domain pool.
 
-    Both strategies turn the portfolio's race-redundancy into genuine
-    parallel speedup:
-
-    - {!solve_components} takes a {!Component.split} of the validity goal
-      and decides each component on its own domain, pulled from a shared
-      work queue heaviest-first. Validity (some component's goal is
-      unsatisfiable) short-circuits the pool through a stop flag the sibling
-      solvers poll; invalidity merges the per-component countermodels into
-      one assignment of the whole formula (sound because components share no
-      g-constants or Boolean constants and agree on the injected p-values).
-    - {!solve_cubes} encodes the whole formula once, probes it briefly to
-      rank branch variables by VSIDS activity ({!Solver.top_vars}), splits
-      on the top [k] into [2^k] sign cubes, and fans the cubes over the pool
-      as [solve ~assumptions] against per-domain replicas of the exported
-      CNF. Failed-assumption cores prune sibling cubes (a cube containing a
-      known core is unsatisfiable without solving); an empty core proves the
-      database itself unsatisfiable. All cubes unsatisfiable is validity —
-      the sign cubes over any variable set are a tautology.
+    {!solve_components} takes a {!Component.split} of the validity goal and
+    decides each component on its own domain, pulled from a shared work
+    queue heaviest-first. Validity (some component's goal is unsatisfiable)
+    short-circuits the pool through a stop flag the sibling solvers poll;
+    invalidity merges the per-component countermodels into one assignment
+    of the whole formula (sound because components share no g-constants or
+    Boolean constants and agree on the injected p-values).
 
     This module is strategy only: {!Decide} owns elimination, phase timing
     and result packaging. Deadlines passed here should be wall-clock
@@ -34,7 +22,7 @@ module Solver = Sepsat_sat.Solver
 module Deadline = Sepsat_util.Deadline
 
 val default_pool : unit -> int
-(** Domains the strategies use by default:
+(** Domains the pool uses by default:
     [max 1 (min 4 (Domain.recommended_domain_count () - 1))] — capped at the
     acceptance hardware's 4, one core left for the coordinator. *)
 
@@ -74,39 +62,3 @@ val solve_components :
     [certify] routes the winning UNSAT component through full Tseitin with
     DRUP logging, exactly like the sequential pipeline. [stop] cancels the
     whole pool from outside (e.g. a portfolio race). *)
-
-type cubes_result = {
-  qr_verdict : Verdict.t;
-  qr_assignment : Brute.assignment option;
-  qr_n_cubes : int;  (** [2^k'] after clamping [k] to available variables *)
-  qr_pruned : int;  (** cubes discharged by a sibling's assumption core *)
-  qr_pool : int;
-  qr_cnf_clauses : int;  (** master CNF clauses replicated per domain *)
-  qr_sat_stats : Solver.stats option;  (** master (probe) solver *)
-  qr_encode_stats : Hybrid.stats option;
-  qr_phases : (string * float) list;
-      (** [encode; cnf; probe; cube] — {!Decide} prepends [elim] *)
-}
-
-val solve_cubes :
-  ?pool:int ->
-  ?simplify:bool ->
-  ?stop:bool Atomic.t ->
-  ?k:int ->
-  ?probe_budget:int ->
-  config:Hybrid.config ->
-  deadline:Deadline.t ->
-  Ast.ctx ->
-  p_consts:Sset.t ->
-  Ast.formula ->
-  cubes_result
-(** [solve_cubes ctx ~p_consts f] decides validity of the application-free
-    (eliminated) formula [f] by cube-and-conquer. The master encoding runs
-    with simplification off so {!Solver.export_cnf} reproduces the exact
-    problem clauses under the original variable numbering; workers replicate
-    that CNF (and may simplify locally — assumption variables are frozen by
-    [solve]) and share a conflict-core list under a mutex for sibling
-    pruning. A probe of [probe_budget] conflicts (default 2000) both ranks
-    the split variables and decides easy instances outright, in which case
-    [qr_n_cubes = 0]. No DRUP certificate is produced — the verdict is
-    assembled from per-cube cores, not one clause stream. *)

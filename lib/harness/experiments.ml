@@ -201,13 +201,12 @@ let parallel_benchmarks =
 let figure_parallel ?(deadline_s = default_deadline) ppf =
   comparison
     ~title:
-      "Structure-parallel: sequential HYBRID vs COMPONENTS and CUBE \
+      "Structure-parallel: sequential HYBRID vs COMPONENTS \
        (wall-clock; multi-component benchmarks should sit below the \
        diagonal in the COMPONENTS column)"
     ~benchmarks:(List.filter_map Suite.find parallel_benchmarks)
     ~base_method:Decide.Hybrid_default ~base_name:"HYBRID"
-    ~others:
-      [ ("COMPONENTS", Decide.Components); ("CUBE", Decide.Cube_and_conquer) ]
+    ~others:[ ("COMPONENTS", Decide.Components) ]
     ~deadline_s ppf
 
 let figure5 ?(deadline_s = default_deadline) ppf =

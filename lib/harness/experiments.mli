@@ -40,7 +40,7 @@ val parallel_benchmarks : string list
     suite instances plus three multi-component [batch.N] instances. *)
 
 val figure_parallel : ?deadline_s:float -> Format.formatter -> unit
-(** The structure-parallel strategies (COMPONENTS, CUBE) against the
+(** The structure-parallel strategy (COMPONENTS) against the
     sequential HYBRID lane: unchanged verdicts on the single-component
     suite instances, and the wall-clock speedup evidence on the
     multi-component [batch.N] instances. *)

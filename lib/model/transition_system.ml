@@ -1,7 +1,7 @@
 module Ast = Sepsat_suf.Ast
 module Interp = Sepsat_suf.Interp
 module Decide = Sepsat.Decide
-module Countermodel = Sepsat.Countermodel
+module Witness = Sepsat.Witness
 module Verdict = Sepsat_sep.Verdict
 module Deadline = Sepsat_util.Deadline
 
@@ -157,7 +157,9 @@ let pp_result ppf = function
       states
 
 let decode_trace (r : Decide.result) assignment steps ~depth =
-  let interp = Countermodel.lift r.Decide.elim assignment in
+  let interp =
+    Witness.to_interp (Witness.of_assignment r.Decide.elim assignment)
+  in
   let states =
     List.map
       (fun step ->

@@ -8,7 +8,7 @@
     relation, no quantifiers). Properties are SUF formulas over a step's
     state. Verification queries go through {!Sepsat.Decide} — the hybrid
     procedure by default — and counterexamples come back as concrete traces
-    via {!Sepsat.Countermodel}. *)
+    via {!Sepsat.Witness}. *)
 
 module Ast = Sepsat_suf.Ast
 

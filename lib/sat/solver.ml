@@ -290,7 +290,7 @@ let place_assumptions (s : t) =
   in
   go ()
 
-let search (s : t) ~nof_conflicts ~deadline ~budget =
+let search (s : t) ~nof_conflicts ~deadline =
   let conflict_count = ref 0 in
   let rec loop () =
     let confl = Db.propagate s in
@@ -323,7 +323,6 @@ let search (s : t) ~nof_conflicts ~deadline ~budget =
           ~trail:(Iv.size s.Db.trail) ~vars:s.Db.nvars
           ~level:(Db.decision_level s) ~started:s.Db.solve_started
       end;
-      if budget > 0 && s.Db.n_conflicts >= budget then raise (Solved Unknown);
       loop ()
     end
     else begin
@@ -421,8 +420,7 @@ let maybe_inprocess (s : t) ~deadline =
       s.Db.n_conflicts + simp_base + (1000 * s.Db.n_simp_rounds)
   end
 
-let solve ?(deadline = Deadline.none) ?(conflict_budget = 0) ?(assumptions = [])
-    (s : t) =
+let solve ?(deadline = Deadline.none) ?(assumptions = []) (s : t) =
   s.Db.conflict_core <- [];
   if not s.Db.ok then Unsat
   else begin
@@ -475,7 +473,7 @@ let solve ?(deadline = Deadline.none) ?(conflict_budget = 0) ?(assumptions = [])
       while true do
         let nof_conflicts = int_of_float (100. *. luby 2. !restart) in
         incr restart;
-        search s ~nof_conflicts ~deadline ~budget:conflict_budget;
+        search s ~nof_conflicts ~deadline;
         if Deadline.exceeded deadline then raise (Solved Unknown);
         maybe_inprocess s ~deadline;
         if not s.Db.ok then raise (Solved Unsat)
@@ -528,36 +526,6 @@ let export_cnf (s : t) =
       clauses := List.map Lit.of_int (Db.clause_lits_list s cr) :: !clauses
   done;
   (s.Db.nvars, !clauses)
-
-(* Branch-variable ranking for cube-and-conquer: unassigned, uneliminated
-   variables ordered by VSIDS activity, problem-clause occurrence count as
-   the tie-break (activity ties are common right after a short probe, when
-   many variables still sit at their initial bump). *)
-let top_vars (s : t) k =
-  let n = s.Db.nvars in
-  let occ = Array.make (max 1 n) 0 in
-  for i = 0 to Iv.size s.Db.clauses - 1 do
-    let cr = Iv.get s.Db.clauses i in
-    if not (Db.clause_dead s cr) then
-      for j = 0 to Db.clause_size s cr - 1 do
-        let v = Db.clause_lit s cr j lsr 1 in
-        occ.(v) <- occ.(v) + 1
-      done
-  done;
-  let cand = ref [] in
-  for v = n - 1 downto 0 do
-    if s.Db.assigns.(v) = 0 && not s.Db.elimed.(v) then cand := v :: !cand
-  done;
-  let arr = Array.of_list !cand in
-  Array.sort
-    (fun a b ->
-      let c = compare s.Db.var_act.(b) s.Db.var_act.(a) in
-      if c <> 0 then c
-      else
-        let c = compare occ.(b) occ.(a) in
-        if c <> 0 then c else compare a b)
-    arr;
-  Array.to_list (Array.sub arr 0 (min k (Array.length arr)))
 
 let pp_stats ppf st =
   Format.fprintf ppf

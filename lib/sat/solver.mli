@@ -88,7 +88,6 @@ val add_clause : t -> Lit.t list -> unit
 
 val solve :
   ?deadline:Sepsat_util.Deadline.t ->
-  ?conflict_budget:int ->
   ?assumptions:Lit.t list ->
   t ->
   result
@@ -132,14 +131,6 @@ val export_cnf : t -> int * Lit.t list list
     facts — equisatisfiable with everything added so far. Learnt clauses are
     not included. Feed to {!Dimacs.print} via its [cnf] record for
     interchange with external solvers. *)
-
-val top_vars : t -> int -> int list
-(** [top_vars s k]: up to [k] unassigned, uneliminated variables in
-    decreasing VSIDS-activity order (problem-clause occurrence count breaks
-    ties). After a short budgeted [solve] probe this ranks the most
-    conflict-implicated variables — the cube-and-conquer splitter branches
-    on them. Root-level assignments and simplifier-eliminated variables are
-    excluded, so every returned variable is a sound assumption candidate. *)
 
 val stats : t -> stats
 

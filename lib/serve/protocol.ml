@@ -61,7 +61,6 @@ let method_to_wire = function
   | Decide.Lazy_baseline -> "lazy"
   | Decide.Portfolio -> "portfolio"
   | Decide.Components -> "components"
-  | Decide.Cube_and_conquer -> "cube"
 
 let request_of_line line =
   match Json.parse line with

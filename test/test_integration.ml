@@ -8,7 +8,7 @@ module Parse = Sepsat_suf.Parse
 module Interp = Sepsat_suf.Interp
 module Elim = Sepsat_suf.Elim
 module Decide = Sepsat.Decide
-module Countermodel = Sepsat.Countermodel
+module Witness = Sepsat.Witness
 module Verdict = Sepsat_sep.Verdict
 module Brute = Sepsat_sep.Brute
 module Deadline = Sepsat_util.Deadline
@@ -59,7 +59,9 @@ let decide_checked m ctx f =
     if sep_value then
       Alcotest.failf "%s: countermodel does not falsify F_sep of %s"
         (method_name m) (Ast.to_string f);
-    let lifted = Countermodel.lift r.Decide.elim assignment in
+    let lifted =
+      Witness.to_interp (Witness.of_assignment r.Decide.elim assignment)
+    in
     if Interp.eval lifted f then
       Alcotest.failf "%s: lifted countermodel does not falsify %s"
         (method_name m) (Ast.to_string f);

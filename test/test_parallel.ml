@@ -1,5 +1,5 @@
 (* Tests for structure-parallel solving (lib/core/parallel, lib/sep/component):
-   the component split's independence, COMPONENTS/CUBE agreement with the
+   the component split's independence, COMPONENTS agreement with the
    sequential pipeline on random formulas and on the suite, merged
    countermodels that certify, the UNSAT short-circuit, and graceful
    degeneration on formulas that refuse to split. *)
@@ -10,10 +10,8 @@ module Component = Sepsat_sep.Component
 module Verdict = Sepsat_sep.Verdict
 module Deadline = Sepsat_util.Deadline
 module Decide = Sepsat.Decide
-module Parallel = Sepsat.Parallel
 module Witness = Sepsat.Witness
 module Certify = Sepsat_check.Certify
-module Hybrid = Sepsat_encode.Hybrid
 module Suite = Sepsat_workloads.Suite
 module Random_formula = Sepsat_workloads.Random_formula
 
@@ -132,52 +130,11 @@ let test_components_degenerate () =
   Alcotest.(check bool) "pooled solve phase" true
     (List.mem_assoc "solve" r'.Decide.phase_times)
 
-(* -- CUBE ------------------------------------------------------------------ *)
-
-let test_cube_agreement () =
-  List.iter
-    (fun name ->
-      let _, mono = decide_bench Decide.Hybrid_default name in
-      let _, cube = decide_bench Decide.Cube_and_conquer name in
-      Alcotest.(check string) (name ^ ": cube vs hybrid")
-        (verdict_label mono.Decide.verdict)
-        (verdict_label cube.Decide.verdict);
-      Alcotest.(check (option bool)) (name ^ ": cube never certifies") None
-        cube.Decide.certified;
-      Alcotest.(check bool) (name ^ ": probe phase recorded") true
-        (List.mem_assoc "probe" cube.Decide.phase_times))
-    [ "pipe.2"; "cache.3"; "lsu.1"; "batch.0" ]
-
-let solve_cubes_on ?bug ~probe_budget name =
-  let ctx = Ast.create_ctx () in
-  let f = (bench name).Suite.build ?bug ctx in
-  let elim = Elim.eliminate ctx f in
-  Parallel.solve_cubes ~probe_budget ~config:Hybrid.default
-    ~deadline:(deadline ()) ctx ~p_consts:elim.Elim.p_consts
-    elim.Elim.formula
-
-let test_cube_fanout_valid () =
-  (* A starved probe forces the actual cube fan-out; every sign cube over
-     the split variables is unsatisfiable, which is validity. *)
-  let r = solve_cubes_on ~probe_budget:1 "pipe.3" in
-  (match r.Parallel.qr_verdict with
-  | Verdict.Valid -> ()
-  | v -> Alcotest.failf "expected valid, got %s" (verdict_label v));
-  Alcotest.(check bool) "cubes actually ran" true (r.Parallel.qr_n_cubes > 0)
-
-let test_cube_fanout_invalid () =
-  let r = solve_cubes_on ~bug:true ~probe_budget:1 "cache.3" in
-  match r.Parallel.qr_verdict with
-  | Verdict.Invalid _ ->
-    Alcotest.(check bool) "model decoded" true
-      (r.Parallel.qr_assignment <> None)
-  | v -> Alcotest.failf "expected invalid, got %s" (verdict_label v)
-
 (* -- Random cross-check ---------------------------------------------------- *)
 
 let prop_parallel_agreement =
   QCheck2.Test.make
-    ~name:"COMPONENTS and CUBE match the sequential verdict" ~count:200
+    ~name:"COMPONENTS matches the sequential verdict" ~count:200
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let ctx = Ast.create_ctx () in
@@ -190,9 +147,7 @@ let prop_parallel_agreement =
             (Ast.to_string f)
         | v -> verdict_label v
       in
-      let reference = verdict Decide.Hybrid_default in
-      reference = verdict Decide.Components
-      && reference = verdict Decide.Cube_and_conquer)
+      verdict Decide.Hybrid_default = verdict Decide.Components)
 
 let () =
   Alcotest.run "parallel"
@@ -212,12 +167,6 @@ let () =
           Alcotest.test_case "unsat short-circuit" `Quick
             test_components_shortcircuit;
           Alcotest.test_case "degeneration" `Quick test_components_degenerate;
-        ] );
-      ( "cube",
-        [
-          Alcotest.test_case "agreement" `Slow test_cube_agreement;
-          Alcotest.test_case "fan-out valid" `Quick test_cube_fanout_valid;
-          Alcotest.test_case "fan-out invalid" `Quick test_cube_fanout_invalid;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_parallel_agreement ] );

@@ -6,7 +6,6 @@
 module Ast = Sepsat_suf.Ast
 module Suite = Sepsat_workloads.Suite
 module Decide = Sepsat.Decide
-module Portfolio = Sepsat.Portfolio
 module Verdict = Sepsat_sep.Verdict
 module Deadline = Sepsat_util.Deadline
 
@@ -75,14 +74,18 @@ let test_portfolio_facade () =
   | Some bench ->
     let ctx = Ast.create_ctx () in
     let formula = bench.Suite.build ctx in
-    let r = Portfolio.decide ~deadline:(deadline ()) ctx formula in
+    let r =
+      Decide.decide ~method_:Decide.Portfolio ~deadline:(deadline ()) ctx
+        formula
+    in
     Alcotest.(check bool) "valid" true (r.Decide.verdict = Verdict.Valid);
-    (match Portfolio.winner r with
+    (match r.Decide.winner with
     | Some m ->
       Alcotest.(check bool) "winner raced" true
-        (List.mem m Portfolio.members)
+        (List.mem m Decide.portfolio_members)
     | None -> Alcotest.fail "no winner");
-    Alcotest.(check int) "four members" 4 (List.length Portfolio.members)
+    Alcotest.(check int) "four members" 4
+      (List.length Decide.portfolio_members)
 
 (* -- Incremental sweep ----------------------------------------------------- *)
 

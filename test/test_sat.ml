@@ -126,16 +126,6 @@ let test_incremental () =
   loop ();
   Alcotest.(check int) "model count" 3 !count
 
-let test_conflict_budget () =
-  let s = pigeonhole 7 in
-  match Solver.solve ~conflict_budget:5 s with
-  | Solver.Unknown -> ()
-  | Solver.Unsat ->
-    (* acceptable only if it needed fewer than 5 conflicts, which php(7)
-       does not *)
-    Alcotest.fail "php 7 cannot be refuted in 5 conflicts"
-  | Solver.Sat -> Alcotest.fail "php is unsat"
-
 let test_deadline_expired () =
   let s = pigeonhole 9 in
   match Solver.solve ~deadline:(Deadline.after (-1.)) s with
@@ -634,7 +624,6 @@ let () =
           Alcotest.test_case "duplicate literals" `Quick test_duplicate_literals;
           Alcotest.test_case "pigeonhole" `Slow test_pigeonhole;
           Alcotest.test_case "incremental" `Quick test_incremental;
-          Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
           Alcotest.test_case "deadline" `Quick test_deadline_expired;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );

@@ -141,7 +141,33 @@ let test_protocol_requests () =
     Alcotest.(check string) "text" "(= x x)" q.Protocol.sq_text
   | _ -> Alcotest.fail "expected default solve");
   Alcotest.(check bool) "malformed line" true
-    (Result.is_error (Protocol.request_of_line "not json"))
+    (Result.is_error (Protocol.request_of_line "not json"));
+  (* every method's wire name parses back to it; the match keeps the list
+     in step with the constructors *)
+  List.iter
+    (fun m ->
+      (match m with
+      | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _
+      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
+      | Decide.Components ->
+        ());
+      let wire = Protocol.method_to_wire m in
+      Alcotest.(check bool) ("method wire name " ^ wire) true
+        (Decide.method_of_string wire = Some m))
+    Decide.
+      [
+        Sd;
+        Eij;
+        Hybrid_default;
+        Hybrid_at 450;
+        Svc_baseline;
+        Lazy_baseline;
+        Portfolio;
+        Components;
+      ];
+  Alcotest.(check (result reject string)) "removed method"
+    (Error "unknown method \"cube\"")
+    (Protocol.request_of_line "{\"formula\":\"(= x x)\",\"method\":\"cube\"}")
 
 let test_protocol_replies () =
   let replies =
