@@ -48,10 +48,13 @@ let num_trans_constraints t = t.n_trans
 
 (* An edge (u, v, w, lit) asserts u − v <= w whenever lit holds. Each
    predicate variable contributes the edge of its bound and the reverse
-   strict edge of its negation. *)
+   strict edge of its negation. [lit] is a formula-level literal in the
+   [F.Clauses] packing: [2*i] for variable [i], [2*i+1] for its negation. *)
 
-type edge = { src : string; dst : string; weight : int; lit : F.t }
+type edge = { src : string; dst : string; weight : int; lit : int }
 (* src − dst <= weight *)
+
+let pos_lit v = 2 * F.var_index v
 
 let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
   let pctx = t.pctx in
@@ -135,14 +138,15 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
         if not (useless src weight) then
           add_edge { src; dst; weight = normalize_weight src weight; lit }
       in
-      install b.Bound.x b.Bound.y b.Bound.c v;
-      install b.Bound.y b.Bound.x (-b.Bound.c - 1) (F.not_ pctx v))
+      let lit = pos_lit v in
+      install b.Bound.x b.Bound.y b.Bound.c lit;
+      install b.Bound.y b.Bound.x (-b.Bound.c - 1) (lit lxor 1))
     t.originals;
   (* Derived-edge variables are deduplicated on (src, dst, weight); a
      canonical bound that already has a predicate variable is reused (its
      truth is then further constrained, which is sound and sharpens the
      encoding). *)
-  let derived : (string * string * int, F.t) Hashtbl.t = Hashtbl.create 256 in
+  let derived : (string * string * int, int) Hashtbl.t = Hashtbl.create 256 in
   let constraints = ref [] in
   t.n_trans <- 0;
   let emit c =
@@ -169,8 +173,9 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
         | Some v ->
           (* An original predicate variable already carries this bound (and
              its graph edges, installed up front). *)
-          ((if view.Bound.negated then F.not_ pctx v else v), false)
-        | None -> (F.fresh_var pctx, true)
+          let l = pos_lit v in
+          ((if view.Bound.negated then l lxor 1 else l), false)
+        | None -> (pos_lit (F.fresh_var pctx), true)
       in
       Hashtbl.add derived (src, dst, weight) lit;
       (lit, needs_edge)
@@ -194,14 +199,12 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
                 if String.equal u z then begin
                   (* A cycle through v: infeasible iff its weight is
                      negative. *)
-                  if w < 0 then
-                    emit (F.not_ pctx (F.and_ pctx e1.lit e2.lit))
+                  if w < 0 then emit [| e1.lit lxor 1; e2.lit lxor 1 |]
                 end
                 else if not (useless u w) then begin
                   let w = normalize_weight u w in
-                  let both = F.and_ pctx e1.lit e2.lit in
                   let lit, fresh = lit_for_derived u z w in
-                  emit (F.implies pctx both lit);
+                  emit [| e1.lit lxor 1; e2.lit lxor 1; lit |];
                   if fresh then
                     new_edges := { src = u; dst = z; weight = w; lit } :: !new_edges
                 end
@@ -245,6 +248,6 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
     end
   in
   loop ();
-  F.and_list pctx !constraints
+  F.clauses pctx (Array.of_list (List.rev !constraints))
 
 let bounds t = t.originals

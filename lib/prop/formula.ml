@@ -7,12 +7,14 @@ and node =
   | Not of t
   | And of t * t
   | Or of t * t
+  | Clauses of int array array
 
 (* The hash-cons table is open addressing (linear probing) over two flat
    arrays. A key packs into one immediate int: a 3-bit constructor tag in the
    low bits and up to two 30-bit operands (child ids, or a variable index)
-   above it. Tags run 0..5, so the all-ones [empty] slot marker never
-   collides with a real key. *)
+   above it. Tags run 0..6, so the all-ones [empty] slot marker never
+   collides with a real key. A [Clauses] node is never shared: its key's
+   operand is its own id, which no other key carries. *)
 
 let tag_true = 0
 
@@ -25,6 +27,8 @@ let tag_not = 3
 let tag_and = 4
 
 let tag_or = 5
+
+let tag_clauses = 6
 
 let operand_bits = 30
 
@@ -124,7 +128,7 @@ let fresh_var ctx =
 let var_index f =
   match f.node with
   | Var i -> i
-  | True | False | Not _ | And _ | Or _ ->
+  | True | False | Not _ | And _ | Or _ | Clauses _ ->
     invalid_arg "Formula.var_index: not a variable"
 
 let nb_vars ctx = ctx.next_var
@@ -134,7 +138,7 @@ let not_ ctx f =
   | True -> fls ctx
   | False -> tru ctx
   | Not g -> g
-  | Var _ | And _ | Or _ ->
+  | Var _ | And _ | Or _ | Clauses _ ->
     let k = key tag_not f.id 0 in
     let i = slot_of ctx k in
     if ctx.keys.(i) = k then ctx.nodes.(i) else add ctx i k (Not f)
@@ -177,9 +181,26 @@ let xor ctx a b = not_ ctx (iff ctx a b)
 
 let ite ctx c a b = and_ ctx (implies ctx c a) (implies ctx (not_ ctx c) b)
 
+let clauses ctx cs =
+  if Array.length cs = 0 then tru ctx
+  else if Array.exists (fun c -> Array.length c = 0) cs then fls ctx
+  else begin
+    Array.iter
+      (Array.iter (fun l ->
+           if l < 0 || l lsr 1 >= ctx.next_var then
+             invalid_arg "Formula.clauses: unallocated variable"))
+      cs;
+    let k = key tag_clauses ctx.next_id 0 in
+    add ctx (slot_of ctx k) k (Clauses cs)
+  end
+
 let and_list ctx fs = List.fold_left (and_ ctx) (tru ctx) fs
 
 let or_list ctx fs = List.fold_left (or_ ctx) (fls ctx) fs
+
+let eval_lit assign l = assign (l lsr 1) <> (l land 1 = 1)
+
+let eval_clauses assign cs = Array.for_all (Array.exists (eval_lit assign)) cs
 
 let eval assign root =
   match root.node with
@@ -187,6 +208,7 @@ let eval assign root =
   | False -> false
   | Var i -> assign i
   | Not { node = Var i; _ } -> not (assign i)
+  | Clauses cs -> eval_clauses assign cs
   | Not _ | And _ | Or _ ->
     let memo = Hashtbl.create 64 in
     let rec go f =
@@ -201,6 +223,7 @@ let eval assign root =
           | Not g -> not (go g)
           | And (a, b) -> go a && go b
           | Or (a, b) -> go a || go b
+          | Clauses cs -> eval_clauses assign cs
         in
         Hashtbl.add memo f.id b;
         b
@@ -218,6 +241,7 @@ let size root =
       incr n;
       match f.node with
       | True | False | Var _ -> ()
+      | Clauses cs -> n := !n + Array.length cs
       | Not g -> go g
       | And (a, b) | Or (a, b) ->
         go a;
@@ -236,5 +260,18 @@ let pp ppf root =
     | Not g -> Format.fprintf ppf "(not %a)" go g
     | And (a, b) -> Format.fprintf ppf "(and %a %a)" go a go b
     | Or (a, b) -> Format.fprintf ppf "(or %a %a)" go a go b
+    | Clauses cs ->
+      Format.pp_print_string ppf "(clauses";
+      Array.iter
+        (fun c ->
+          Format.pp_print_string ppf " (or";
+          Array.iter
+            (fun l ->
+              if l land 1 = 0 then Format.fprintf ppf " b%d" (l lsr 1)
+              else Format.fprintf ppf " (not b%d)" (l lsr 1))
+            c;
+          Format.pp_print_string ppf ")")
+        cs;
+      Format.pp_print_string ppf ")"
   in
   go ppf root

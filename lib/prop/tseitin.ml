@@ -80,10 +80,10 @@ let has_lit t id = memo_find t id <> absent
 (* One registry-wide counter across every converter instance. *)
 let m_clauses = lazy (Sepsat_obs.Metrics.counter "cnf.clauses")
 
-let add_clause t c =
+let add_clause t (c : Lit.t array) =
   t.n_clauses <- t.n_clauses + 1;
   Sepsat_obs.Metrics.incr (Lazy.force m_clauses);
-  Solver.add_clause t.solver c
+  Solver.add_clause_array t.solver c
 
 let find_var t i =
   if i < Array.length t.var_lits && t.var_lits.(i) <> absent then
@@ -106,9 +106,63 @@ let true_lit t =
   | Some l -> l
   | None ->
     let l = Lit.pos (Solver.new_var t.solver) in
-    add_clause t [ l ];
+    add_clause t [| l |];
     t.const_true <- Some l;
     l
+
+(* -- Clause sets -------------------------------------------------------- *)
+
+(* The solver literal of a [Formula.Clauses] literal. *)
+let clause_lit t fl =
+  let l = lit_of_var t (fl lsr 1) in
+  if fl land 1 = 1 then Lit.neg l else l
+
+(* [c] with [extra] prepended, in solver literals. *)
+let clause_with t extra (c : int array) =
+  let n = Array.length c in
+  let a = Array.make (n + 1) extra in
+  for i = 0 to n - 1 do
+    a.(i + 1) <- clause_lit t c.(i)
+  done;
+  a
+
+(* Adds [l1 ∧ ... ∧ ln => l]. Past [max_width] antecedents, each group of
+   [max_width] gets a gate [g] with [group => g] and the gates become the
+   antecedents, so no clause is wider than [max_width + 1]. *)
+let rec imply_from_all t (ls : Lit.t array) l =
+  let n = Array.length ls in
+  if n <= max_width then
+    add_clause t
+      (Array.init (n + 1) (fun i -> if i = 0 then l else Lit.neg ls.(i - 1)))
+  else
+    imply_from_all t
+      (Array.init
+         ((n + max_width - 1) / max_width)
+         (fun j ->
+           let g = Lit.pos (Solver.new_var t.solver) in
+           let lo = j * max_width in
+           imply_from_all t (Array.sub ls lo (min max_width (n - lo))) g;
+           g))
+      l
+
+(* The definition of gate [l] for the clause set [cs]. The positive
+   direction is one clause [¬l ∨ Cᵢ] per clause. The negative direction
+   gives each clause an indicator [dᵢ] with [Cᵢ => dᵢ] (one binary clause
+   per literal) and then adds [d₁ ∧ ... ∧ dₙ => l]. *)
+let define_clauses t l cs ~pos ~neg =
+  if pos then
+    Array.iter (fun c -> add_clause t (clause_with t (Lit.neg l) c)) cs;
+  if neg then
+    imply_from_all t
+      (Array.map
+         (fun c ->
+           let d = Lit.pos (Solver.new_var t.solver) in
+           Array.iter
+             (fun fl -> add_clause t [| d; Lit.neg (clause_lit t fl) |])
+             c;
+           d)
+         cs)
+      l
 
 (* -- Full (both-direction, binary) conversion --------------------------- *)
 
@@ -125,16 +179,20 @@ let rec encode_full t (f : Formula.t) =
       | Formula.And (a, b) ->
         let la = encode_full t a and lb = encode_full t b in
         let l = Lit.pos (Solver.new_var t.solver) in
-        add_clause t [ Lit.neg l; la ];
-        add_clause t [ Lit.neg l; lb ];
-        add_clause t [ l; Lit.neg la; Lit.neg lb ];
+        add_clause t [| Lit.neg l; la |];
+        add_clause t [| Lit.neg l; lb |];
+        add_clause t [| l; Lit.neg la; Lit.neg lb |];
         l
       | Formula.Or (a, b) ->
         let la = encode_full t a and lb = encode_full t b in
         let l = Lit.pos (Solver.new_var t.solver) in
-        add_clause t [ Lit.neg l; la; lb ];
-        add_clause t [ l; Lit.neg la ];
-        add_clause t [ l; Lit.neg lb ];
+        add_clause t [| Lit.neg l; la; lb |];
+        add_clause t [| l; Lit.neg la |];
+        add_clause t [| l; Lit.neg lb |];
+        l
+      | Formula.Clauses cs ->
+        let l = Lit.pos (Solver.new_var t.solver) in
+        define_clauses t l cs ~pos:true ~neg:true;
         l
     in
     memo_add t f.id l;
@@ -189,6 +247,15 @@ let gather t (f : Formula.t) =
   | _ -> assert false);
   List.rev !acc
 
+(* Which of the requested definition directions of gate [f] are still to
+   be emitted; marks them emitted. *)
+let pending t (f : Formula.t) ~pos ~neg =
+  let need_pos = pos && not (has_flag t f.id done_pos) in
+  let need_neg = neg && not (has_flag t f.id done_neg) in
+  if need_pos then set_flag t f.id done_pos;
+  if need_neg then set_flag t f.id done_neg;
+  (need_pos, need_neg)
+
 (* Returns the literal for [f], emitting only the definition directions that
    the occurrence polarity demands: [pos] asks for l => def (the node occurs
    under an even number of negations), [neg] for def => l. Directions are
@@ -200,12 +267,14 @@ let rec encode_pg t (f : Formula.t) ~pos ~neg =
   | Formula.False -> Lit.neg (true_lit t)
   | Formula.Var i -> lit_of_var t i
   | Formula.Not g -> Lit.neg (encode_pg t g ~pos:neg ~neg:pos)
+  | Formula.Clauses cs ->
+    let l = gate_lit t f in
+    let need_pos, need_neg = pending t f ~pos ~neg in
+    define_clauses t l cs ~pos:need_pos ~neg:need_neg;
+    l
   | Formula.And _ | Formula.Or _ ->
     let l = gate_lit t f in
-    let need_pos = pos && not (has_flag t f.id done_pos) in
-    let need_neg = neg && not (has_flag t f.id done_neg) in
-    if need_pos then set_flag t f.id done_pos;
-    if need_neg then set_flag t f.id done_neg;
+    let need_pos, need_neg = pending t f ~pos ~neg in
     if need_pos || need_neg then begin
       let children = gather t f in
       let clits =
@@ -214,12 +283,13 @@ let rec encode_pg t (f : Formula.t) ~pos ~neg =
       match f.node with
       | Formula.And _ ->
         if need_pos then
-          List.iter (fun c -> add_clause t [ Lit.neg l; c ]) clits;
-        if need_neg then add_clause t (l :: List.map Lit.neg clits)
-      | Formula.Or _ ->
-        if need_pos then add_clause t (Lit.neg l :: clits);
+          List.iter (fun c -> add_clause t [| Lit.neg l; c |]) clits;
         if need_neg then
-          List.iter (fun c -> add_clause t [ l; Lit.neg c ]) clits
+          add_clause t (Array.of_list (l :: List.map Lit.neg clits))
+      | Formula.Or _ ->
+        if need_pos then add_clause t (Array.of_list (Lit.neg l :: clits));
+        if need_neg then
+          List.iter (fun c -> add_clause t [| l; Lit.neg c |]) clits
       | _ -> assert false
     end;
     l
@@ -230,14 +300,20 @@ let encode t f =
   | Polarity -> encode_pg t f ~pos:true ~neg:true
 
 let rec assert_root t (f : Formula.t) =
-  match t.mode with
-  | Full -> add_clause t [ encode_full t f ]
-  | Polarity ->
+  match (t.mode, f.node) with
+  | _, Formula.Clauses cs ->
+    (* A clause set at the root goes in verbatim: no gate, no indicator. *)
+    if not (has_flag t f.id root_done) then begin
+      set_flag t f.id root_done;
+      Array.iter (fun c -> add_clause t (Array.map (clause_lit t) c)) cs
+    end
+  | Full, _ -> add_clause t [| encode_full t f |]
+  | Polarity, _ ->
     if not (has_flag t f.id root_done) then begin
       set_flag t f.id root_done;
       match f.node with
       | Formula.True -> ()
-      | Formula.False -> add_clause t []
+      | Formula.False -> add_clause t [||]
       | Formula.And (a, b) when not (has_lit t f.id) ->
         (* A conjunctive root splits into several roots: no gate variable,
            no definition clauses. *)
@@ -248,8 +324,8 @@ let rec assert_root t (f : Formula.t) =
         let clits =
           List.map (fun g -> encode_pg t g ~pos:true ~neg:false) (gather t f)
         in
-        add_clause t clits
-      | _ -> add_clause t [ encode_pg t f ~pos:true ~neg:false ]
+        add_clause t (Array.of_list clits)
+      | _ -> add_clause t [| encode_pg t f ~pos:true ~neg:false |]
     end
 
 let clauses_added t = t.n_clauses

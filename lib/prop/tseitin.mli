@@ -13,7 +13,15 @@
     variables of an asserted root. {!Full} is the classical both-direction
     binary Tseitin conversion, kept for paths that need the gate variables to
     be fully defined — model reconstruction over arbitrary subformulas and
-    the DRUP certification pipeline. *)
+    the DRUP certification pipeline.
+
+    A {!Formula.Clauses} node costs no formula-level gates. Asserted as a root
+    (or as a conjunct of a split root) its clauses go into the solver
+    verbatim. Elsewhere it gets a gate literal [l]: the positive direction is
+    one clause [¬l ∨ Cᵢ] per clause, and the negative direction (which
+    {!Full} always emits) gives each clause an indicator [dᵢ] with
+    [Cᵢ ⇒ dᵢ] as binary clauses, then [d₁ ∧ … ∧ dₙ ⇒ l] through group gates
+    of at most 64 antecedents, so no clause is wider than 65 literals. *)
 
 type t
 
@@ -39,7 +47,8 @@ val encode : t -> Formula.t -> Sepsat_sat.Lit.t
     use it under either sign. *)
 
 val assert_root : t -> Formula.t -> unit
-(** Encodes the formula and asserts it. In {!Polarity} mode the assertion is
+(** Encodes the formula and asserts it. A {!Formula.Clauses} root is added
+    clause by clause in both modes. In {!Polarity} mode the assertion is
     clausal: conjunctive roots split into several roots and disjunctive roots
     become a single clause, so no top-level gate variables are introduced. *)
 

@@ -178,9 +178,6 @@ let create () =
 
 let[@inline] to_lits il = List.map Lit.of_int il
 
-let log_input s il =
-  match s.proof with None -> () | Some p -> Proof.input p (to_lits il)
-
 let log_learned s il =
   match s.proof with None -> () | Some p -> Proof.learned p (to_lits il)
 
@@ -748,22 +745,23 @@ let restore_entry s j =
    the newest down to the earliest touched one). Restoring a whole suffix
    keeps the remaining prefix a valid reconstruction sequence regardless of
    how entries interleave. Runs at decision level 0. *)
-let restore_touching s (ilits : int list) =
+let restore_touching s (ilits : int array) =
   let touched =
-    List.exists
+    Array.exists
       (fun l ->
         let v = l lsr 1 in
         v < s.nvars && (s.elimed.(v) || s.ext_count.(v) > 0))
       ilits
   in
   if touched then begin
-    let vars = List.map (fun l -> l lsr 1) ilits in
+    let vars = Array.map (fun l -> l lsr 1) ilits in
     let entry_touches j =
       let off = Iv.get s.ext_off j in
       let sz = Iv.get s.ext_data (off + 1) in
       let rec go k =
         k < sz
-        && (List.mem (Iv.get s.ext_data (off + 2 + k) lsr 1) vars || go (k + 1))
+        && (Array.mem (Iv.get s.ext_data (off + 2 + k) lsr 1) vars
+           || go (k + 1))
       in
       go 0
     in
@@ -780,7 +778,7 @@ let restore_touching s (ilits : int list) =
       done;
     (* Variables eliminated with no clause occurrences at all leave no stack
        entry; just revive them. *)
-    List.iter
+    Array.iter
       (fun v ->
         if v < s.nvars && s.elimed.(v) then begin
           s.elimed.(v) <- false;
@@ -792,34 +790,80 @@ let restore_touching s (ilits : int list) =
 
 (* -- Clause addition (public hygiene path) -------------------------------------------- *)
 
-let add_clause s (lits : Lit.t list) =
+(* Sorts [a] in place and drops repeated literals: returns [a] itself, or a
+   shorter copy of its prefix when it had repeats. Clauses are mostly short,
+   so short ones take an insertion sort. *)
+let sort_dedupe (a : int array) =
+  let n = Array.length a in
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else Array.sort Int.compare a;
+  let m = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  if !m = n then a else Array.sub a 0 !m
+
+let lits_of_array a = Array.fold_right (fun l acc -> Lit.of_int l :: acc) a []
+
+let add_clause s (lits : int array) =
   if s.ok then begin
     cancel_until s 0;
     s.model <- None;
-    let lits = List.sort_uniq Lit.compare lits in
-    let il = List.map Lit.to_int lits in
-    log_input s il;
-    restore_touching s il;
+    let il = sort_dedupe lits in
+    (match s.proof with
+    | None -> ()
+    | Some p -> Proof.input p (lits_of_array il));
+    (* Only the simplifier eliminates variables or parks clauses. *)
+    if s.n_elim_vars > 0 || Iv.size s.ext_off > 0 then restore_touching s il;
     if s.ok then begin
-      (* Sort, dedupe, drop false-at-root literals, detect tautology. *)
-      let taut =
-        List.exists (fun l -> List.mem (l lxor 1) il) il
-        || List.exists
-             (fun l -> value_lit s l = 1 && s.level.(l lsr 1) = 0)
-             il
-      in
-      if taut then s.n_eliminated <- s.n_eliminated + 1
+      (* After sorting, complementary literals [2v] and [2v+1] are
+         neighbours. A literal true at the root also makes the clause
+         redundant. *)
+      let taut = ref false and n_false = ref 0 in
+      Array.iteri
+        (fun i l ->
+          if i > 0 && il.(i - 1) = l lxor 1 then taut := true;
+          let v = value_lit s l in
+          if v <> 0 && s.level.(l lsr 1) = 0 then
+            if v = 1 then taut := true else incr n_false)
+        il;
+      if !taut then s.n_eliminated <- s.n_eliminated + 1
       else begin
         let live =
-          List.filter
-            (fun l -> not (value_lit s l = -1 && s.level.(l lsr 1) = 0))
-            il
+          if !n_false = 0 then il
+          else begin
+            let live = Array.make (Array.length il - !n_false) 0 in
+            let k = ref 0 in
+            Array.iter
+              (fun l ->
+                if value_lit s l <> -1 || s.level.(l lsr 1) <> 0 then begin
+                  live.(!k) <- l;
+                  incr k
+                end)
+              il;
+            (* Removing root-falsified literals is itself a RUP inference. *)
+            (match s.proof with
+            | None -> ()
+            | Some p -> Proof.learned p (lits_of_array live));
+            live
+          end
         in
-        (* Removing root-falsified literals is itself a RUP inference. *)
-        if live <> il then log_learned s live;
-        match live with
-        | [] -> s.ok <- false
-        | [ l ] ->
+        match Array.length live with
+        | 0 -> s.ok <- false
+        | 1 ->
+          let l = live.(0) in
           if value_lit s l = -1 then begin
             log_learned s [];
             s.ok <- false
@@ -828,8 +872,8 @@ let add_clause s (lits : Lit.t list) =
             unchecked_enqueue s l cref_undef;
             s.dirty <- s.dirty + 1
           end
-        | _ :: _ :: _ ->
-          let cr = alloc_clause s (Array.of_list live) ~learnt:false in
+        | _ ->
+          let cr = alloc_clause s live ~learnt:false in
           Iv.push s.clauses cr;
           attach s cr;
           s.dirty <- s.dirty + 1

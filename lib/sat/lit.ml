@@ -20,6 +20,8 @@ let[@inline] of_int i =
   assert (i >= 0);
   i
 
+let array_as_ints (a : t array) : int array = a
+
 let to_dimacs l = if sign l then var l + 1 else -(var l + 1)
 
 let of_dimacs i =

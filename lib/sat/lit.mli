@@ -30,6 +30,10 @@ val to_int : t -> int
 val of_int : int -> t
 (** Inverse of {!to_int}. *)
 
+val array_as_ints : t array -> int array
+(** The same array viewed as packed ints, without a copy: a write through
+    either view shows in the other. *)
+
 val to_dimacs : t -> int
 (** Signed DIMACS form: variable index + 1, negative if the literal is. *)
 

@@ -54,7 +54,10 @@ let nvars (s : t) = s.Db.nvars
 
 let new_var = Db.new_var
 
-let add_clause = Db.add_clause
+let add_clause (s : t) lits =
+  Db.add_clause s (Lit.array_as_ints (Array.of_list lits))
+
+let add_clause_array (s : t) lits = Db.add_clause s (Lit.array_as_ints lits)
 
 (* -- Conflict analysis (first UIP) --------------------------------------- *)
 
@@ -452,7 +455,7 @@ let solve ?(deadline = Deadline.none) ?(assumptions = []) (s : t) =
     try
       (* Assumption variables must survive elimination: restore any stack
          entries they touch, then freeze them for good. *)
-      Db.restore_touching s il;
+      Db.restore_touching s (Array.of_list il);
       List.iter (fun l -> freeze s (l lsr 1)) il;
       if not s.Db.ok then raise (Solved Unsat);
       (if Db.propagate s <> Db.cref_undef then begin

@@ -86,6 +86,9 @@ val add_clause : t -> Lit.t list -> unit
     root-contradicting clause makes the instance unsatisfiable. May be called
     between [solve] calls. *)
 
+val add_clause_array : t -> Lit.t array -> unit
+(** {!add_clause} over an array, which it sorts in place. *)
+
 val solve :
   ?deadline:Sepsat_util.Deadline.t ->
   ?assumptions:Lit.t list ->

@@ -273,14 +273,14 @@ let golden_cnf =
   [
     (* bench, method, cnf_clauses, certified cnf_clauses, trans, bool_size *)
     ("pipe.3", Decide.Sd, 8699, 11470, 0, 4297);
-    ("pipe.3", Decide.Eij, 22790, 46978, 4366, 20447);
-    ("pipe.3", Decide.Hybrid_default, 11586, 25714, 2408, 11423);
+    ("pipe.3", Decide.Eij, 15129, 28139, 4366, 8647);
+    ("pipe.3", Decide.Hybrid_default, 7408, 15444, 2408, 4969);
     ("cache.5", Decide.Sd, 3286, 5137, 0, 2129);
-    ("cache.5", Decide.Eij, 4552, 13390, 1518, 6281);
-    ("cache.5", Decide.Hybrid_default, 4552, 13390, 1518, 6281);
+    ("cache.5", Decide.Eij, 1957, 7016, 1518, 2257);
+    ("cache.5", Decide.Hybrid_default, 1957, 7016, 1518, 2257);
     ("batch.0", Decide.Sd, 22683, 53230, 0, 19869);
-    ("batch.0", Decide.Eij, 52082, 155080, 21142, 75013);
-    ("batch.0", Decide.Hybrid_default, 52082, 155080, 21142, 75013);
+    ("batch.0", Decide.Eij, 22428, 77143, 21142, 24253);
+    ("batch.0", Decide.Hybrid_default, 22428, 77143, 21142, 24253);
   ]
 
 let cnf_shape name method_ =

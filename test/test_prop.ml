@@ -148,6 +148,7 @@ let prop_eval_consistent =
         | F.Not h -> F.not_ ctx (rebuild h)
         | F.And (a, b) -> F.and_ ctx (rebuild a) (rebuild b)
         | F.Or (a, b) -> F.or_ ctx (rebuild a) (rebuild b)
+        | F.Clauses cs -> F.clauses ctx cs
       in
       F.eval e f = F.eval e (rebuild f))
 
@@ -221,7 +222,7 @@ let random_dag ~seed ~nvars n =
 
 let children (f : F.t) =
   match f.F.node with
-  | F.True | F.False | F.Var _ -> []
+  | F.True | F.False | F.Var _ | F.Clauses _ -> []
   | F.Not g -> [ g ]
   | F.And (a, b) | F.Or (a, b) -> [ a; b ]
 
@@ -246,6 +247,7 @@ let test_hashcons_growth () =
         | F.Not g -> F.not_ ctx g
         | F.And (a, b) -> F.and_ ctx b a
         | F.Or (a, b) -> F.or_ ctx b a
+        | F.Clauses _ -> f
       in
       if again != f then Alcotest.failf "node %d rebuilt as a copy" f.F.id;
       (* Structurally equal nodes are one physical node. *)
@@ -257,6 +259,7 @@ let test_hashcons_growth () =
         | F.Not g -> (3, g.F.id, -1)
         | F.And (a, b) -> (4, a.F.id, b.F.id)
         | F.Or (a, b) -> (5, a.F.id, b.F.id)
+        | F.Clauses _ -> (6, f.F.id, -1)
       in
       match Hashtbl.find_opt by_shape shape with
       | Some g when g != f -> Alcotest.failf "node %d duplicated" f.F.id
@@ -347,6 +350,143 @@ let test_tseitin_large_ids () =
       [ Tseitin.Polarity; Tseitin.Full ]
   done
 
+(* -- Clause-set nodes ----------------------------------------------------- *)
+
+let clause_vars = 6
+
+(* A clause set over [clause_vars] variables: empty, a few clauses, or more
+   clauses than Tseitin's group width of 64. Most large sets are planted
+   (every clause agrees with one hidden assignment) so that they stay
+   satisfiable; one set in ten holds an empty clause. A third of the sets
+   start with 61 to 136 tautologies, so that the clauses that can be false
+   sit in the last group of the indicator chain. *)
+let gen_clause_set =
+  let open QCheck2.Gen in
+  let lit =
+    map2
+      (fun v neg -> (2 * v) + if neg then 1 else 0)
+      (int_bound (clause_vars - 1))
+      bool
+  in
+  let* n =
+    frequency [ (1, pure 0); (4, int_range 1 4); (2, int_range 65 140) ]
+  in
+  let* cs = array_size (pure n) (array_size (int_range 1 4) lit) in
+  let* hidden = array_size (pure clause_vars) bool in
+  let* planted = frequency [ (1, pure false); (3, pure true) ] in
+  let* empty = frequency [ (9, pure false); (1, pure true) ] in
+  let* pad = frequency [ (2, pure 0); (1, int_range 61 136) ] in
+  let* taut =
+    array_size (pure pad)
+      (map (fun v -> [| 2 * v; (2 * v) + 1 |]) (int_bound (clause_vars - 1)))
+  in
+  let agrees l = hidden.(l lsr 1) = (l land 1 = 0) in
+  if planted && n > 4 then
+    Array.iter
+      (fun c -> if not (Array.exists agrees c) then c.(0) <- c.(0) lxor 1)
+      cs;
+  if empty && n > 0 then cs.(0) <- [||];
+  pure (Array.append taut cs)
+
+let gen_with_clauses depth =
+  let open QCheck2.Gen in
+  let ctx = F.create_ctx () in
+  for _ = 1 to clause_vars do
+    ignore (F.fresh_var ctx)
+  done;
+  let rec go depth =
+    let leaves =
+      [
+        map (fun i -> F.var ctx i) (int_bound (clause_vars - 1));
+        map (F.clauses ctx) gen_clause_set;
+      ]
+    in
+    if depth = 0 then oneof leaves
+    else
+      oneof
+        (leaves
+        @ [
+            map (F.not_ ctx) (go (depth - 1));
+            map2 (F.and_ ctx) (go (depth - 1)) (go (depth - 1));
+            map2 (F.or_ ctx) (go (depth - 1)) (go (depth - 1));
+          ])
+  in
+  map (fun f -> (ctx, f)) (go depth)
+
+let brute_sat nvars f =
+  let a = Array.make nvars false in
+  let rec loop v =
+    if v = nvars then F.eval (fun i -> a.(i)) f
+    else begin
+      a.(v) <- true;
+      loop (v + 1)
+      ||
+      (a.(v) <- false;
+       loop (v + 1))
+    end
+  in
+  loop 0
+
+(* Property: formulas with clause-set nodes under Not, And and Or convert
+   faithfully in both modes: the verdict matches brute force and a model
+   satisfies the formula. *)
+let prop_clauses_nodes =
+  QCheck2.Test.make ~name:"clause-set nodes, both modes" ~count:300
+    (gen_with_clauses 3) (fun (_ctx, f) ->
+      let sat = brute_sat clause_vars f in
+      List.for_all
+        (fun mode ->
+          let solver = Solver.create () in
+          let ts = Tseitin.create ~mode solver in
+          Tseitin.assert_root ts f;
+          match Solver.solve solver with
+          | Solver.Sat ->
+            let assign i =
+              match Tseitin.find_var ts i with
+              | Some lit -> Solver.value solver lit
+              | None -> false
+            in
+            sat && F.eval assign f
+          | Solver.Unsat -> not sat
+          | Solver.Unknown -> false)
+        [ Tseitin.Polarity; Tseitin.Full ])
+
+let test_clauses_constructor () =
+  let ctx = F.create_ctx () in
+  let a = F.fresh_var ctx and b = F.fresh_var ctx in
+  let ia = F.var_index a and ib = F.var_index b in
+  Alcotest.(check bool) "empty set is true" true
+    (F.clauses ctx [||] == F.tru ctx);
+  Alcotest.(check bool) "empty clause is false" true
+    (F.clauses ctx [| [| 2 * ia |]; [||] |] == F.fls ctx);
+  let cs = [| [| 2 * ia; 2 * ib |]; [| (2 * ia) + 1 |] |] in
+  let n1 = F.clauses ctx cs and n2 = F.clauses ctx cs in
+  Alcotest.(check bool) "each call is a new node" true (n1 != n2);
+  Alcotest.(check int) "size counts the clauses" 3 (F.size n1);
+  Alcotest.(check int) "size under a gate" 6
+    (F.size (F.and_ ctx a (F.not_ ctx n1)));
+  (* (a ∨ b) ∧ ¬a holds exactly when a is false and b true *)
+  List.iter
+    (fun (va, vb) ->
+      let e i = if i = ia then va else vb in
+      Alcotest.(check bool) "eval" ((not va) && vb) (F.eval e n1))
+    [ (true, true); (true, false); (false, true); (false, false) ];
+  Alcotest.(check string) "pp" "(clauses (or b0 b1) (or (not b0)))"
+    (Format.asprintf "%a" F.pp n1);
+  Alcotest.(check bool) "unallocated variable rejected" true
+    (match F.clauses ctx [| [| 2 * 7 |] |] with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* A root clause set goes in verbatim. Under a root disjunction it is a
+     positive gate: one clause per set clause, plus the root clause. *)
+  let count f =
+    let ts = Tseitin.create (Solver.create ()) in
+    Tseitin.assert_root ts f;
+    Tseitin.clauses_added ts
+  in
+  Alcotest.(check int) "root verbatim" 2 (count n1);
+  Alcotest.(check int) "positive gate" 3 (count (F.or_ ctx a n1))
+
 let () =
   Alcotest.run "prop"
     [
@@ -360,6 +500,7 @@ let () =
           Alcotest.test_case "hash-cons table growth" `Quick
             test_hashcons_growth;
           Alcotest.test_case "size matches reference" `Quick test_size_reference;
+          Alcotest.test_case "clause-set nodes" `Quick test_clauses_constructor;
         ] );
       ( "tseitin",
         [
@@ -370,5 +511,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_pg_matches_full;
           QCheck_alcotest.to_alcotest prop_full_model_faithful;
           QCheck_alcotest.to_alcotest prop_eval_consistent;
+          QCheck_alcotest.to_alcotest prop_clauses_nodes;
         ] );
     ]

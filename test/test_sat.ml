@@ -520,6 +520,37 @@ let test_eliminated_stat () =
     (Solver.stats s).Solver.eliminated;
   Alcotest.check result_t "sat" Solver.Sat (Solver.solve s)
 
+let test_add_clause_hygiene () =
+  let s = Solver.create () in
+  let proof = Solver.start_proof s in
+  let a = Solver.new_var s and b = Solver.new_var s in
+  let c = Solver.new_var s and d = Solver.new_var s in
+  let pa = Lit.pos a and pb = Lit.pos b and pc = Lit.pos c and pd = Lit.pos d in
+  Solver.add_clause_array s [| pb; pa; pa; pb; pa |] (* duplicates *);
+  Solver.add_clause_array s [| pc; Lit.neg pb; pb |] (* tautology *);
+  Alcotest.(check int) "tautology eliminated" 1
+    (Solver.stats s).Solver.eliminated;
+  Solver.add_clause_array s [| Lit.neg pa |];
+  Solver.add_clause_array s [| pd; pa; pc |] (* a is false at the root *);
+  Solver.add_clause s [ Lit.neg pc ];
+  Solver.add_clause s [ Lit.neg pd ];
+  let steps = Proof.steps proof in
+  let expected =
+    Proof.
+      [
+        Input [ pa; pb ];
+        Input [ pb; Lit.neg pb; pc ];
+        Input [ Lit.neg pa ];
+        Input [ pa; pc; pd ];
+        Learned [ pc; pd ];
+        Input [ Lit.neg pc ];
+      ]
+  in
+  Alcotest.(check bool) "input and learned steps" true
+    (List.filteri (fun i _ -> i < List.length expected) steps = expected);
+  Alcotest.check result_t "unsat" Solver.Unsat (Solver.solve s);
+  Alcotest.(check bool) "certified" true (Drup_check.certified proof)
+
 let test_warm_start () =
   let s = Solver.create () in
   let vars = Array.init 6 (fun _ -> Solver.new_var s) in
@@ -661,6 +692,8 @@ let () =
           Alcotest.test_case "contradictory assumptions" `Quick
             test_contradictory_assumptions;
           Alcotest.test_case "eliminated stat" `Quick test_eliminated_stat;
+          Alcotest.test_case "add_clause hygiene with a proof" `Quick
+            test_add_clause_hygiene;
           Alcotest.test_case "warm start" `Quick test_warm_start;
           Alcotest.test_case "stop flag" `Quick test_stop_flag;
           QCheck_alcotest.to_alcotest prop_assumptions_agree;
