@@ -77,19 +77,6 @@ let simplify_arg =
            iteration, or $(b,vary) (default) to alternate per iteration and \
            fuzz the simplifier against the plain core.")
 
-let parallel_modes = [ ("on", `On); ("off", `Off); ("vary", `Vary) ]
-
-let parallel_arg =
-  Arg.(
-    value
-    & opt (enum parallel_modes) `Off
-    & info [ "parallel" ] ~docv:"MODE"
-        ~doc:
-          "Cross-check the structure-parallel strategy (COMPONENTS) \
-           against the sequential procedures: $(b,on) every iteration, \
-           $(b,off) (default) never, or $(b,vary) on an independent bit of \
-           the iteration seed.")
-
 let no_shrink_arg =
   Arg.(
     value & flag
@@ -119,8 +106,7 @@ let log_level_arg =
     value & opt string "quiet"
     & info [ "log-level" ] ~docv:"LEVEL" ~doc:"quiet (default), info or debug.")
 
-let run iters seed gen timeout simplify parallel no_shrink quiet trace stats
-    log_level =
+let run iters seed gen timeout simplify no_shrink quiet trace stats log_level =
   (match Obs.level_of_string log_level with
   | Some l -> Obs.set_level l
   | None ->
@@ -139,8 +125,8 @@ let run iters seed gen timeout simplify parallel no_shrink quiet trace stats
   let summary =
     Differential.fuzz
       ~procedures:(Differential.default_procedures ~timeout ())
-      ~gen ~shrink_failures:(not no_shrink) ~vary_simplify ~parallel
-      ~parallel_timeout:timeout ~log ~iters ~seed ()
+      ~gen ~shrink_failures:(not no_shrink) ~vary_simplify ~log ~iters ~seed
+      ()
   in
   Format.printf "%a" Differential.pp_summary summary;
   (match trace with
@@ -163,7 +149,7 @@ let () =
   let term =
     Term.(
       const run $ iters_arg $ seed_arg $ profile_arg $ timeout_arg
-      $ simplify_arg $ parallel_arg $ no_shrink_arg $ quiet_arg $ trace_arg
+      $ simplify_arg $ no_shrink_arg $ quiet_arg $ trace_arg
       $ stats_flag $ log_level_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -61,7 +61,7 @@ let method_conv =
         (`Msg
           (Printf.sprintf
              "unknown method %S (expected sd, eij, hybrid, hybrid:<n>, svc, \
-              lazy, portfolio, components)"
+              lazy, portfolio)"
              s))
   in
   let print ppf m = Decide.pp_method ppf m in
@@ -79,8 +79,8 @@ let method_arg =
     & opt method_conv Decide.Hybrid_default
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
-          "Decision method: sd, eij, hybrid, hybrid:N, svc, lazy, \
-           portfolio or components.")
+          "Decision method: sd, eij, hybrid, hybrid:N, svc, lazy or \
+           portfolio.")
 
 let portfolio_arg =
   Arg.(
@@ -375,8 +375,8 @@ let bench_cmd =
     | "6" -> Sepsat_harness.Experiments.figure6 ~deadline_s:timeout ppf
     | "portfolio" ->
       Sepsat_harness.Experiments.figure_portfolio ~deadline_s:timeout ppf
-    | "parallel" ->
-      Sepsat_harness.Experiments.figure_parallel ~deadline_s:timeout ppf
+    | "hybrid" ->
+      Sepsat_harness.Experiments.figure_hybrid ~deadline_s:timeout ppf
     | "all" -> Sepsat_harness.Experiments.all ~deadline_s:timeout ppf
     | other ->
       Format.eprintf "unknown figure %S@." other;
@@ -387,7 +387,7 @@ let bench_cmd =
     Arg.(
       value & opt string "all"
       & info [ "figure" ] ~docv:"ID"
-          ~doc:"2, 3, threshold, 4, 5, 6, portfolio, parallel or all.")
+          ~doc:"2, 3, threshold, 4, 5, 6, portfolio, hybrid or all.")
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
@@ -407,8 +407,7 @@ let cnf_cmd =
         | Decide.Eij -> Sepsat_encode.Hybrid.eij_only
         | Decide.Hybrid_default -> Sepsat_encode.Hybrid.default
         | Decide.Hybrid_at t -> Sepsat_encode.Hybrid.hybrid ~threshold:t ()
-        | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
-        | Decide.Components ->
+        | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio ->
           Format.eprintf "cnf export requires a single eager method@.";
           exit 2
       in

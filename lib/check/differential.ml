@@ -16,10 +16,6 @@ let procedure_of_method ?(timeout = 10.) method_ =
     match method_ with
     | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _ ->
       true
-    (* COMPONENTS certifies like the eager methods: the winning UNSAT
-       component's solver logs the DRUP trace (the degenerate path IS the
-       eager pipeline), so a Valid answer must carry a certificate. *)
-    | Decide.Components -> true
     (* Portfolio certifies through its winning eager member, but DRUP traces
        are not yet plumbed out of the race, so don't demand one. *)
     | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio -> false
@@ -168,21 +164,10 @@ type summary = {
   failures : counterexample list;
 }
 
-let parallel_methods = [ Decide.Components ]
-
-let parallel_procedures ?timeout () =
-  List.map (procedure_of_method ?timeout) parallel_methods
-
 let fuzz ?procedures ?(gen = Random_formula.small) ?(shrink_failures = true)
-    ?(vary_simplify = false) ?(parallel = `Off) ?parallel_timeout
-    ?(log = fun _ -> ()) ~iters ~seed () =
+    ?(vary_simplify = false) ?(log = fun _ -> ()) ~iters ~seed () =
   let procedures =
     match procedures with Some ps -> ps | None -> default_procedures ()
-  in
-  let parallel_procs =
-    match parallel with
-    | `Off -> []
-    | `On | `Vary -> parallel_procedures ?timeout:parallel_timeout ()
   in
   let tally = ref no_answers in
   let failures = ref [] in
@@ -197,17 +182,6 @@ let fuzz ?procedures ?(gen = Random_formula.small) ?(shrink_failures = true)
        search on the same formula stream (shrinking inherits the iteration's
        setting, so reproducers stay deterministic). *)
     if vary_simplify then Decide.set_simplify_default (gen_seed land 1 = 0);
-    (* The structural strategies join the comparison either every iteration
-       or (vary) on an independent bit of the seed, so vary-mode still
-       exercises the sequential-only combinations. *)
-    let procedures =
-      match parallel with
-      | `Off -> procedures
-      | `On -> procedures @ parallel_procs
-      | `Vary ->
-        if gen_seed land 2 = 0 then procedures @ parallel_procs
-        else procedures
-    in
     let ctx = Ast.create_ctx () in
     let f = Random_formula.generate gen ctx ~seed:gen_seed in
     (match check_formula ~procedures ctx f with

@@ -24,19 +24,12 @@ type procedure = {
 }
 
 val procedure_of_method : ?timeout:float -> Decide.method_ -> procedure
-(** Eager methods and COMPONENTS run with [~certify:true] and
+(** Eager methods run with [~certify:true] and
     [expect_proof = true]; baselines and PORTFOLIO produce no proofs.
     [timeout] (seconds, default 10) bounds each call. *)
 
 val default_procedures : ?timeout:float -> unit -> procedure list
 (** SD, EIJ, HYBRID at thresholds 0 / default / max, SVC and LAZY. *)
-
-val parallel_methods : Decide.method_ list
-(** [[Components]] — the structure-parallel strategy. *)
-
-val parallel_procedures : ?timeout:float -> unit -> procedure list
-(** {!parallel_methods} as procedures, for cross-checking the parallel
-    strategies against the sequential ones. *)
 
 type failure_kind =
   | Disagreement  (** two decisive verdicts differ *)
@@ -90,8 +83,6 @@ val fuzz :
   ?gen:Random_formula.config ->
   ?shrink_failures:bool ->
   ?vary_simplify:bool ->
-  ?parallel:[ `On | `Off | `Vary ] ->
-  ?parallel_timeout:float ->
   ?log:(string -> unit) ->
   iters:int ->
   seed:int ->
@@ -101,13 +92,8 @@ val fuzz :
     [seed * 1_000_003 + i] in a fresh context. [vary_simplify] (default
     [false]) toggles {!Decide.set_simplify_default} per iteration (by seed
     parity, restored afterwards) so both the simplified and the plain SAT
-    core face the same formula stream. [parallel] (default [`Off]) adds
-    {!parallel_procedures} to the comparison: [`On] every iteration, [`Vary]
-    on an independent bit of the iteration seed ([gen_seed land 2]), so the
-    component verdicts are cross-checked against the sequential
-    procedures on the same formulas; [parallel_timeout] bounds those calls
-    like [timeout] does in {!procedure_of_method}. [log] receives one-line
-    progress messages (default: silent). *)
+    core face the same formula stream. [log] receives one-line progress
+    messages (default: silent). *)
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 

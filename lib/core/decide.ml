@@ -2,7 +2,6 @@ module Ast = Sepsat_suf.Ast
 module Parse = Sepsat_suf.Parse
 module Elim = Sepsat_suf.Elim
 module Verdict = Sepsat_sep.Verdict
-module Component = Sepsat_sep.Component
 module Hybrid = Sepsat_encode.Hybrid
 module F = Sepsat_prop.Formula
 module Tseitin = Sepsat_prop.Tseitin
@@ -22,7 +21,6 @@ type method_ =
   | Svc_baseline
   | Lazy_baseline
   | Portfolio
-  | Components
 
 let pp_method ppf = function
   | Sd -> Format.pp_print_string ppf "SD"
@@ -33,7 +31,6 @@ let pp_method ppf = function
   | Svc_baseline -> Format.pp_print_string ppf "SVC"
   | Lazy_baseline -> Format.pp_print_string ppf "LAZY"
   | Portfolio -> Format.pp_print_string ppf "PORTFOLIO"
-  | Components -> Format.pp_print_string ppf "COMPONENTS"
 
 let method_of_string s =
   match String.lowercase_ascii s with
@@ -43,7 +40,6 @@ let method_of_string s =
   | "svc" -> Some Svc_baseline
   | "lazy" -> Some Lazy_baseline
   | "portfolio" -> Some Portfolio
-  | "components" -> Some Components
   | s -> (
     match String.index_opt s ':' with
     | Some i when String.sub s 0 i = "hybrid" -> (
@@ -78,15 +74,15 @@ let eager_config = function
   | Eij -> Hybrid.eij_only
   | Hybrid_default -> Hybrid.default
   | Hybrid_at t -> Hybrid.hybrid ~threshold:t ()
-  | Svc_baseline | Lazy_baseline | Portfolio | Components ->
+  | Svc_baseline | Lazy_baseline | Portfolio ->
     invalid_arg "Decide.eager_config: not an eager method"
 
 (* Process-wide default for SatELite-style pre/inprocessing in every
    procedure that bottoms out in [Solver]. A mutable default rather than a
    parameter threaded through every call chain, so the bench harness and the
-   differential fuzzer can toggle the whole pipeline per run; lives in
-   [Decide_flags] so [Parallel] shares it without depending on this module. *)
-let simplify_flag = Decide_flags.simplify
+   differential fuzzer can toggle the whole pipeline per run. [Atomic]
+   because portfolio domains read it. *)
+let simplify_flag = Atomic.make true
 
 let set_simplify_default on = Atomic.set simplify_flag on
 
@@ -96,22 +92,15 @@ let want_simplify = function
   | Some b -> b
   | None -> Atomic.get simplify_flag
 
-let decide_eager ?stop ?simplify ?elim ~config ~deadline ~certify ctx formula
-    =
+let decide_eager ?stop ?simplify ~config ~deadline ~certify ctx formula =
   let deadline =
     match stop with
     | Some flag -> Deadline.with_stop deadline flag
     | None -> deadline
   in
   let t0 = Deadline.now () in
-  (* A precomputed elimination (the component splitter's, say) is reused as
-     is: [Elim.eliminate] mints fresh p-constant names per call, so running
-     it twice would desynchronize the caller's [p_consts] from ours. *)
   let elim =
-    match elim with
-    | Some e -> e
-    | None ->
-      Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
+    Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
   in
   let t_elim = Deadline.now () in
   (* [~phases] names the phase the pipeline died in, so an Unknown result
@@ -239,88 +228,9 @@ let decide_lazy ?simplify ~deadline ctx formula =
     ~decide_fn:(fun ~deadline ctx f -> Lazy_smt.decide ~simplify ~deadline ctx f)
     ctx formula
 
-(* -- Structure-parallel methods -------------------------------------------- *)
-
-(* Both parallel strategies (and the portfolio below) run several domains at
-   once: [Sys.time] accumulates CPU across every domain, so they must work
-   against a wall-clock budget or N workers would burn the deadline N times
-   faster. *)
-let wall_of deadline =
-  match Deadline.remaining deadline with
-  | None -> Deadline.none
-  | Some r -> Deadline.after_wall r
-
-let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
-  let t0 = Deadline.wall_now () in
-  let deadline = wall_of deadline in
-  let elim =
-    Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
-  in
-  let t_elim = Deadline.wall_now () in
-  let split =
-    Obs.span ~cat:"pipeline" "split" (fun () ->
-        Component.split ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula)
-  in
-  let t_split = Deadline.wall_now () in
-  match split.Component.components with
-  | [] | [ _ ] ->
-    (* Nothing to parallelize: the unchanged sequential path, on the same
-       elimination (fresh p-names per call, so it must not rerun), with the
-       split attempt accounted in the phase report. *)
-    let r =
-      decide_eager ?stop ?simplify ~elim ~config:Hybrid.default ~deadline
-        ~certify ctx formula
-    in
-    {
-      r with
-      phase_times =
-        ("elim", t_elim -. t0)
-        :: ("split", t_split -. t_elim)
-        :: List.filter (fun (name, _) -> name <> "elim") r.phase_times;
-      total_time = Deadline.wall_now () -. t0;
-    }
-  | _ :: _ :: _ ->
-    let cr =
-      Obs.span ~cat:"pipeline" "components" (fun () ->
-          Parallel.solve_components ?stop ?simplify ~config:Hybrid.default
-            ~deadline ~certify ctx ~p_consts:elim.Elim.p_consts split)
-    in
-    let t1 = Deadline.wall_now () in
-    let verdict = cr.Parallel.cr_verdict in
-    {
-      verdict;
-      certified = cr.Parallel.cr_certified;
-      witness = witness_of elim verdict;
-      elim;
-      translate_time = t_split -. t0;
-      sat_time = t1 -. t_split;
-      total_time = t1 -. t0;
-      phase_times =
-        [
-          ("elim", t_elim -. t0);
-          ("split", t_split -. t_elim);
-          ("solve", t1 -. t_split);
-        ];
-      cnf_clauses = cr.Parallel.cr_cnf_clauses;
-      sat_stats = cr.Parallel.cr_sat_stats;
-      encode_stats = None;
-      winner = None;
-    }
-
 (* -- Multicore portfolio -------------------------------------------------- *)
 
-let portfolio_members = [ Sd; Eij; Hybrid_default; Components ]
-
-(* One racing lane: the eager encodings plus the structural strategies. *)
-let decide_member m ~stop ?simplify ~deadline ~certify ctx formula =
-  match m with
-  | Sd | Eij | Hybrid_default | Hybrid_at _ ->
-    decide_eager ~stop ?simplify ~config:(eager_config m) ~deadline ~certify
-      ctx formula
-  | Components ->
-    decide_components ~stop ?simplify ~deadline ~certify ctx formula
-  | Svc_baseline | Lazy_baseline | Portfolio ->
-    invalid_arg "Decide.decide_member: not a racing member"
+let portfolio_members = [ Sd; Eij; Hybrid_default ]
 
 (* Races the eager methods on separate domains; the first decisive verdict
    raises a shared stop flag that every competing solver polls from its
@@ -352,7 +262,10 @@ let decide_portfolio ?simplify ~deadline ~certify ctx formula =
       (fun () ->
         let ctx' = Ast.create_ctx () in
         let formula' = Parse.formula ctx' printed in
-        let r = decide_member m ~stop ?simplify ~deadline ~certify ctx' formula' in
+        let r =
+          decide_eager ~stop ?simplify ~config:(eager_config m) ~deadline
+            ~certify ctx' formula'
+        in
         (match r.verdict with
         | Verdict.Valid | Verdict.Invalid _ ->
           if Atomic.compare_and_set winner_slot None (Some (m, r)) then begin
@@ -394,7 +307,6 @@ let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
   | Svc_baseline -> decide_svc ~deadline ctx formula
   | Lazy_baseline -> decide_lazy ?simplify ~deadline ctx formula
   | Portfolio -> decide_portfolio ?simplify ~deadline ~certify ctx formula
-  | Components -> decide_components ?simplify ~deadline ~certify ctx formula
 
 (* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
 

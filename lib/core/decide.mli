@@ -22,25 +22,19 @@ type method_ =
   | Svc_baseline
   | Lazy_baseline
   | Portfolio
-      (** races SD, EIJ, HYBRID and COMPONENTS on separate domains; first
-          decisive verdict wins and cancels the rest *)
-  | Components
-      (** splits the validity goal into independent components
-          ({!Sepsat_sep.Component}) and decides them concurrently on a
-          domain pool ({!Parallel.solve_components}); single-component
-          formulas fall back to the sequential HYBRID path *)
+      (** races SD, EIJ and HYBRID on separate domains; first decisive
+          verdict wins and cancels the rest *)
 
 val pp_method : Format.formatter -> method_ -> unit
 
 val method_of_string : string -> method_ option
 (** Accepts ["sd"], ["eij"], ["hybrid"], ["hybrid:<n>"], ["svc"],
-    ["lazy"], ["portfolio"], ["components"]. *)
+    ["lazy"], ["portfolio"]. *)
 
 type result = {
   verdict : Verdict.t;
   certified : bool option;
-      (** with [~certify:true] on an eager method or {!Components} (where
-          the winning UNSAT component's solver logs the proof): [Some true]
+      (** with [~certify:true] on an eager method or {!Portfolio}: [Some true]
           iff the [Valid] verdict's DRUP trace passed the independent
           {!Sepsat_sat.Drup_check} replay; [None] when certification was not
           requested or not applicable *)
@@ -59,13 +53,10 @@ type result = {
   phase_times : (string * float) list;
       (** finer-grained split of [total_time], in pipeline order. Eager
           methods report [elim]/[encode]/[cnf]/[sat] (so [translate_time] =
-          elim + encode + cnf); SVC and LAZY report [elim]/[search];
-          COMPONENTS reports [elim]/[split]/[solve] (or, degenerating to the
-          sequential path, [elim]/[split]/[encode]/[cnf]/[sat]). On an
+          elim + encode + cnf); SVC and LAZY report [elim]/[search]. On an
           [Unknown] from a translation blowup or timeout the list stops at
-          the phase that gave up, which names the culprit. Same CPU clock as the coarse fields
-          for the sequential methods; the parallel methods (and the
-          {!Sepsat_obs} spans emitted alongside) use wall time. *)
+          the phase that gave up, which names the culprit. Same CPU clock as
+          the coarse fields; the portfolio's [total_time] is wall time. *)
   cnf_clauses : int;  (** CNF clauses handed to the solver (0 for SVC) *)
   sat_stats : Solver.stats option;
   encode_stats : Hybrid.stats option;  (** eager methods only *)
@@ -109,7 +100,7 @@ val valid : ?method_:method_ -> Ast.ctx -> Ast.formula -> bool
 (** Convenience wrapper. @raise Failure on an [Unknown] verdict. *)
 
 val portfolio_members : method_ list
-(** The methods {!Portfolio} races: SD, EIJ, HYBRID(default), COMPONENTS. *)
+(** The methods {!Portfolio} races: SD, EIJ, HYBRID(default). *)
 
 (** {2 Incremental SEP_THOLD sweep}
 

@@ -105,7 +105,7 @@ let p_value_fun classes ~p_consts =
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Hybrid: unknown p-constant %S" name)
 
-let encode_core ~mode_of ~eij_budget ~deadline ?p_value ctx ~p_consts formula =
+let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
   let formula =
     Obs.span ~cat:"encode" "normalize" (fun () -> Normal.normalize ctx formula)
   in
@@ -123,15 +123,7 @@ let encode_core ~mode_of ~eij_budget ~deadline ?p_value ctx ~p_consts formula =
     | Selected sels ->
       if F.eval assign sels.(cls_id) then Use_sd else Use_eij
   in
-  (* An injected p-value table (component solving) overrides the local one:
-     per-component reaches are no larger than the whole formula's, so values
-     diverse for the whole formula stay diverse — and identical across every
-     component, which is what makes per-component witnesses mergeable. *)
-  let p_value =
-    match p_value with
-    | Some f -> f
-    | None -> p_value_fun classes ~p_consts
-  in
+  let p_value = p_value_fun classes ~p_consts in
   let sd = Sd.create pctx classes ~p_value in
   let eij = Eij.create ~budget:eij_budget pctx in
   let is_p name = Classes.is_p classes name in
@@ -323,8 +315,8 @@ let encode_core ~mode_of ~eij_budget ~deadline ?p_value ctx ~p_consts formula =
   in
   (pctx, f_bool, stats, decode, mode, infos)
 
-let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ?p_value
-    ctx ~p_consts formula =
+let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
+    ~p_consts formula =
   let mode_of _pctx infos =
     Fixed
       (Array.map
@@ -333,19 +325,10 @@ let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ?p_value
          infos)
   in
   let pctx, f_bool, stats, decode, _mode, _infos =
-    encode_core ~mode_of ~eij_budget:config.eij_budget ~deadline ?p_value ctx
-      ~p_consts formula
+    encode_core ~mode_of ~eij_budget:config.eij_budget ~deadline ctx ~p_consts
+      formula
   in
   { prop_ctx = pctx; f_bool; stats; decode }
-
-let p_values_of classes ~p_consts =
-  let f = p_value_fun classes ~p_consts in
-  List.map (fun name -> (name, f name)) (Sset.elements p_consts)
-
-let p_values ctx ~p_consts formula =
-  let formula = Normal.normalize ctx formula in
-  let classes = Classes.build ~p_consts formula in
-  p_values_of classes ~p_consts
 
 let encode_selective ?(eij_budget = default_budget)
     ?(deadline = Sepsat_util.Deadline.none) ctx ~p_consts formula =

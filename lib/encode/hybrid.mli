@@ -63,36 +63,16 @@ type encoded = {
 val encode :
   ?config:config ->
   ?deadline:Sepsat_util.Deadline.t ->
-  ?p_value:(string -> int) ->
   Ast.ctx ->
   p_consts:Sset.t ->
   Ast.formula ->
   encoded
 (** [deadline] is polled during transitivity-constraint generation, the
-    expensive translation phase. [p_value] overrides the internally computed
-    maximally diverse p-constant values — component solving injects the whole
-    formula's table ({!p_values}) so every component agrees on them and
-    witnesses merge; injected values must be at least as diverse as the local
-    ones (guaranteed when they come from a formula of which this is a
-    conjunctive fragment).
+    expensive translation phase.
     @raise Translation_blowup when EIJ translation exceeds its budget.
     @raise Sepsat_util.Deadline.Timeout when the deadline fires during
     translation.
     @raise Invalid_argument if the formula contains applications. *)
-
-val p_values :
-  Ast.ctx -> p_consts:Sset.t -> Ast.formula -> (string * int) list
-(** The fixed maximally diverse p-constant values {!encode} would use for
-    this formula, in {!Sset.elements} order of [p_consts]. Feed back through
-    [encode ~p_value] to pin sub-formula encodings to the whole formula's
-    interpretation. *)
-
-val p_values_of :
-  Sepsat_sep.Classes.t -> p_consts:Sset.t -> (string * int) list
-(** Same table from an already-built class partition of the normalized
-    formula — what {!p_values} computes internally. Lets callers that built
-    the classes for other reasons (e.g. the component split) avoid
-    re-normalizing. *)
 
 type selective = {
   sel_prop_ctx : F.ctx;

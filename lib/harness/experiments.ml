@@ -191,23 +191,33 @@ let figure_portfolio ?(deadline_s = default_deadline) ppf =
     (Runner.recorded_rows ());
   Format.fprintf ppf "@."
 
-let parallel_benchmarks =
+let hybrid_benchmarks =
   [
     "pipe.3"; "pipe.5"; "cache.5"; "lsu.3"; "tv.1";
-    (* the multi-component instances carrying the speedup claim *)
     "batch.1"; "batch.3"; "batch.4";
   ]
 
-let figure_parallel ?(deadline_s = default_deadline) ppf =
-  comparison
-    ~title:
-      "Structure-parallel: sequential HYBRID vs COMPONENTS \
-       (wall-clock; multi-component benchmarks should sit below the \
-       diagonal in the COMPONENTS column)"
-    ~benchmarks:(List.filter_map Suite.find parallel_benchmarks)
-    ~base_method:Decide.Hybrid_default ~base_name:"HYBRID"
-    ~others:[ ("COMPONENTS", Decide.Components) ]
-    ~deadline_s ppf
+let figure_hybrid ?(deadline_s = default_deadline) ppf =
+  Format.fprintf ppf
+    "== HYBRID(%d) per-phase timings (suite and batch benchmarks) ==@."
+    Sepsat_encode.Hybrid.default_threshold;
+  Format.fprintf ppf "%-10s %6s %8s %8s %9s %9s %9s %9s@." "Benchmark" "size"
+    "verdict" "total" "elim" "encode" "cnf" "sat";
+  List.iter
+    (fun name ->
+      match Suite.find name with
+      | None -> ()
+      | Some bench ->
+        let r = Runner.run ~deadline_s Decide.Hybrid_default bench in
+        let phase p =
+          Option.value ~default:0. (List.assoc_opt p r.Runner.phase_times)
+        in
+        Format.fprintf ppf "%-10s %6d %8s %a %9.4f %9.4f %9.4f %9.4f@." name
+          r.Runner.size
+          (Format.asprintf "%a" pp_verdict_short r)
+          pp_time r (phase "elim") (phase "encode") (phase "cnf") (phase "sat"))
+    hybrid_benchmarks;
+  Format.fprintf ppf "@."
 
 let figure5 ?(deadline_s = default_deadline) ppf =
   comparison
@@ -330,6 +340,6 @@ let all ?(deadline_s = default_deadline) ppf =
   figure5 ~deadline_s ppf;
   figure6 ~deadline_s ppf;
   figure_portfolio ~deadline_s ppf;
-  figure_parallel ~deadline_s ppf;
+  figure_hybrid ~deadline_s ppf;
   ablation_threshold ~deadline_s ppf;
   ablation_positive_equality ~deadline_s ppf

@@ -35,15 +35,10 @@ val figure_portfolio : ?deadline_s:float -> Format.formatter -> unit
     against each member on a representative benchmark subset, with the
     winning method and wall-clock time per benchmark. *)
 
-val parallel_benchmarks : string list
-(** Benchmarks of {!figure_parallel}: representative single-component
-    suite instances plus three multi-component [batch.N] instances. *)
-
-val figure_parallel : ?deadline_s:float -> Format.formatter -> unit
-(** The structure-parallel strategy (COMPONENTS) against the
-    sequential HYBRID lane: unchanged verdicts on the single-component
-    suite instances, and the wall-clock speedup evidence on the
-    multi-component [batch.N] instances. *)
+val figure_hybrid : ?deadline_s:float -> Format.formatter -> unit
+(** Sequential HYBRID at the default SEP_THOLD on pipe.3, pipe.5, cache.5,
+    lsu.3, tv.1 and batch.1/3/4, with the elim/encode/cnf/sat split of each
+    run: the HYBRID rows of the perf-gate baseline. *)
 
 val ablation_threshold : ?deadline_s:float -> Format.formatter -> unit
 (** Design-choice ablation: HYBRID search time across a SEP_THOLD sweep on

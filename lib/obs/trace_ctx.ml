@@ -1,6 +1,6 @@
 (* Request-scoped ambient context: a request id plus the stack of open span
    names, stored in domain-local storage. Domains do not inherit DLS on
-   spawn, so fan-out points ([Parallel], the portfolio) must [capture] the
+   spawn, so fan-out points (the portfolio race) must [capture] the
    context before spawning and re-install it with [with_ctx] inside the
    child — that explicit handoff is what lets one rid reconstruct a span
    tree that crosses domain boundaries. *)

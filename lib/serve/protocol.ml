@@ -60,7 +60,6 @@ let method_to_wire = function
   | Decide.Svc_baseline -> "svc"
   | Decide.Lazy_baseline -> "lazy"
   | Decide.Portfolio -> "portfolio"
-  | Decide.Components -> "components"
 
 let request_of_line line =
   match Json.parse line with

@@ -9,13 +9,12 @@ module Ast = Sepsat_suf.Ast
    INVALID and the countermodel assembles every unit's scenario at once.
 
    Because the units share no symbols, the negation is a conjunction of
-   independent constraint systems — the connected-component decomposition
-   target: a monolithic solver pays for every unit's model search, a
-   component solver pays only for the slowest.
+   independent constraint systems, and every unit contributes separation
+   classes of its own.
 
    [bug] here is an overconstrained spec: the last unit also keeps its whole
    load region strictly below the queue tail, which contradicts its dirty
-   reads and makes the batch vacuously valid (one UNSAT component). *)
+   reads and makes the batch vacuously valid (one UNSAT unit). *)
 
 let unit_system ctx ~prefix ~n_ops ~blocked =
   let n = max 2 n_ops in

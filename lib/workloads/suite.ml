@@ -96,7 +96,7 @@ let invariant_checking =
 
 let benchmarks = non_invariant @ invariant_checking
 
-(* Multi-component instances beyond the paper's 49: [benchmarks] keeps the
+(* Multi-unit instances beyond the paper's 49: [benchmarks] keeps the
    paper's population, [find] sees these too. *)
 let batch_entry i (u, m) =
   {

@@ -16,6 +16,7 @@ module Certify = Sepsat_check.Certify
 module Shrink = Sepsat_check.Shrink
 module Differential = Sepsat_check.Differential
 module Random_formula = Sepsat_workloads.Random_formula
+module Suite = Sepsat_workloads.Suite
 
 (* -- Witness extraction and certification --------------------------------- *)
 
@@ -72,6 +73,36 @@ let test_forged_witness_rejected () =
     | Error e -> Alcotest.failf "expected witness error, got %a" Certify.pp_error e
     | Ok o -> Alcotest.failf "forged witness accepted as %a" Certify.pp_outcome o)
   | _ -> Alcotest.fail "x = y should be invalid"
+
+(* The batch family is the one the benchmark's frontend and certified
+   workloads draw on: a healthy batch is invalid with a witness Certify
+   accepts, and the bug variant is valid with a replayed DRUP proof. *)
+let decide_batch ~bug =
+  let ctx = Ast.create_ctx () in
+  let bench =
+    match Suite.find "batch.0" with
+    | Some b -> b
+    | None -> Alcotest.fail "batch.0 missing"
+  in
+  let f = bench.Suite.build ~bug ctx in
+  (f, decide Decide.Hybrid_default ctx f)
+
+let test_batch_invalid_witnessed () =
+  let f, r = decide_batch ~bug:false in
+  Alcotest.(check bool) "witness surfaced" true (r.Decide.witness <> None);
+  match Certify.check f r with
+  | Ok (Certify.Invalid_witnessed w) ->
+    Alcotest.(check bool) "witness falsifies" true (Witness.falsifies w f)
+  | Ok o -> Alcotest.failf "expected witnessed invalid, got %a" Certify.pp_outcome o
+  | Error e -> Alcotest.failf "certification error: %a" Certify.pp_error e
+
+let test_batch_bug_certified () =
+  let f, r = decide_batch ~bug:true in
+  Alcotest.(check (option bool)) "proof replayed" (Some true) r.Decide.certified;
+  match Certify.check ~expect_proof:true f r with
+  | Ok Certify.Valid_certified -> ()
+  | Ok o -> Alcotest.failf "expected certified valid, got %a" Certify.pp_outcome o
+  | Error e -> Alcotest.failf "certification error: %a" Certify.pp_error e
 
 (* -- Satellite: eager methods agree at every threshold, with valid
    witnesses, on seeded Random_formula.small instances ---------------------- *)
@@ -250,6 +281,10 @@ let () =
             test_missing_proof_rejected;
           Alcotest.test_case "forged witness rejected" `Quick
             test_forged_witness_rejected;
+          Alcotest.test_case "batch invalid is witnessed" `Quick
+            test_batch_invalid_witnessed;
+          Alcotest.test_case "batch bug certifies valid" `Quick
+            test_batch_bug_certified;
         ] );
       ( "agreement",
         [ QCheck_alcotest.to_alcotest prop_eager_agreement_with_witnesses ] );

@@ -84,7 +84,7 @@ let test_portfolio_facade () =
       Alcotest.(check bool) "winner raced" true
         (List.mem m Decide.portfolio_members)
     | None -> Alcotest.fail "no winner");
-    Alcotest.(check int) "four members" 4
+    Alcotest.(check int) "three members" 3
       (List.length Decide.portfolio_members)
 
 (* -- Incremental sweep ----------------------------------------------------- *)

@@ -148,9 +148,7 @@ let test_protocol_requests () =
     (fun m ->
       (match m with
       | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _
-      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
-      | Decide.Components ->
-        ());
+      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio -> ());
       let wire = Protocol.method_to_wire m in
       Alcotest.(check bool) ("method wire name " ^ wire) true
         (Decide.method_of_string wire = Some m))
@@ -163,11 +161,14 @@ let test_protocol_requests () =
         Svc_baseline;
         Lazy_baseline;
         Portfolio;
-        Components;
       ];
-  Alcotest.(check (result reject string)) "removed method"
-    (Error "unknown method \"cube\"")
-    (Protocol.request_of_line "{\"formula\":\"(= x x)\",\"method\":\"cube\"}")
+  List.iter
+    (fun m ->
+      Alcotest.(check (result reject string)) ("removed method " ^ m)
+        (Error (Printf.sprintf "unknown method %S" m))
+        (Protocol.request_of_line
+           (Printf.sprintf "{\"formula\":\"(= x x)\",\"method\":%S}" m)))
+    [ "cube"; "components" ]
 
 let test_protocol_replies () =
   let replies =
