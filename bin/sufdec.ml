@@ -22,6 +22,7 @@ module Decide = Sepsat.Decide
 module Verdict = Sepsat_sep.Verdict
 module Brute = Sepsat_sep.Brute
 module Deadline = Sepsat_util.Deadline
+module Json = Sepsat_util.Json
 module Suite = Sepsat_workloads.Suite
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
@@ -682,7 +683,7 @@ let submit_cmd =
         | Protocol.Warmed id -> Format.printf "%-24s warmed@." id
         | Protocol.Bye id -> Format.printf "%-24s bye@." id
         | Protocol.Stats (id, j) ->
-          Format.printf "%-24s %s@." id (Sepsat_serve.Json.to_string j)
+          Format.printf "%-24s %s@." id (Json.to_string j)
         | Protocol.Metrics (_, body) ->
           (* The exposition document is already line-oriented text. *)
           print_string body
@@ -826,8 +827,6 @@ let submit_cmd =
 
 (* -- top: live terminal dashboard ----------------------------------------- *)
 
-module Sjson = Sepsat_serve.Json
-
 let top_cmd =
   let run socket interval frames =
     let path =
@@ -843,11 +842,11 @@ let top_cmd =
         Format.eprintf "cannot connect to %s: %s@." path (Unix.error_message e);
         exit 2
     in
-    let num k j = Option.value ~default:0. (Sjson.mem_num k j) in
-    let str k j = Option.value ~default:"" (Sjson.mem_str k j) in
-    let obj k j = Option.value ~default:(Sjson.Obj []) (Sjson.member k j) in
+    let num k j = Option.value ~default:0. (Json.mem_num k j) in
+    let str k j = Option.value ~default:"" (Json.mem_str k j) in
+    let obj k j = Option.value ~default:(Json.Obj []) (Json.member k j) in
     let arr k j =
-      match Sjson.member k j with Some (Sjson.Arr l) -> l | _ -> []
+      match Json.member k j with Some (Json.Arr l) -> l | _ -> []
     in
     (* Rolling trend history, newest first; sparklines read oldest first. *)
     let hist_qps = ref [] and hist_queue = ref [] and hist_p99 = ref [] in
@@ -913,8 +912,8 @@ let top_cmd =
           List.iter
             (fun e ->
               let le =
-                match Sjson.member "le" e with
-                | Some (Sjson.Num ub) -> Printf.sprintf "%g" ub
+                match Json.member "le" e with
+                | Some (Json.Num ub) -> Printf.sprintf "%g" ub
                 | _ -> "+Inf"
               in
               if fleet then
@@ -928,8 +927,8 @@ let top_cmd =
         (match
            List.filter_map
              (fun b ->
-               match Sjson.member "hops" b with
-               | Some (Sjson.Obj _ as h) -> Some (b, h)
+               match Json.member "hops" b with
+               | Some (Json.Obj _ as h) -> Some (b, h)
                | _ -> None)
              (arr "backends" j)
          with
@@ -996,60 +995,6 @@ let top_cmd =
 
 module Flight = Sepsat_obs.Flight
 
-(* Decode one flight-recorder JSON document into an [assemble] source.
-   Dumps predating the wall/mono header pair (or the per-record mono
-   stamp) fall back to raw wall time, per the documented compat rule. *)
-let flight_source_of_json ~label j =
-  let fnum k o = Sjson.mem_num k o in
-  let wall =
-    match fnum "wall" j with
-    | Some w -> w
-    | None -> Option.value ~default:0. (fnum "dumped_at" j)
-  in
-  let mono = Option.value ~default:wall (fnum "mono" j) in
-  let records =
-    match Sjson.member "records" j with
-    | Some (Sjson.Arr rs) ->
-      List.filter_map
-        (fun r ->
-          match r with
-          | Sjson.Obj _ ->
-            let ts = Option.value ~default:0. (fnum "ts" r) in
-            Some
-              {
-                Flight.fr_ts = ts;
-                fr_mono = Option.value ~default:ts (fnum "mono" r);
-                fr_tid = Option.value ~default:0 (Sjson.mem_int "tid" r);
-                fr_rid = Option.value ~default:"" (Sjson.mem_str "rid" r);
-                fr_kind =
-                  (match Sjson.mem_str "kind" r with
-                  | Some "span" -> Flight.Span
-                  | Some "log" -> Flight.Log
-                  | Some "progress" -> Flight.Progress
-                  | _ -> Flight.Event);
-                fr_name = Option.value ~default:"" (Sjson.mem_str "name" r);
-                fr_dur_ms = Option.value ~default:0. (fnum "dur_ms" r);
-                fr_data =
-                  (match Sjson.member "data" r with
-                  | Some (Sjson.Obj kvs) ->
-                    List.filter_map
-                      (fun (k, v) ->
-                        match v with Sjson.Str s -> Some (k, s) | _ -> None)
-                      kvs
-                  | _ -> []);
-              }
-          | _ -> None)
-        rs
-    | _ -> []
-  in
-  {
-    Flight.src_label = label;
-    src_pid = Option.value ~default:0 (Sjson.mem_int "pid" j);
-    src_wall = wall;
-    src_mono = mono;
-    src_records = records;
-  }
-
 let trace_cmd =
   let run socket rid out =
     let path =
@@ -1074,7 +1019,7 @@ let trace_cmd =
     in
     Session.close session;
     let doc =
-      match Sjson.parse body with
+      match Json.parse body with
       | Error e ->
         Format.eprintf "malformed dump: %s@." e;
         exit 3
@@ -1084,24 +1029,24 @@ let trace_cmd =
        server answers its own flight document directly. Either way the
        result is one lane per process. *)
     let sources =
-      match Sjson.mem_str "schema" doc with
+      match Json.mem_str "schema" doc with
       | Some "sepsat-fleet-dump-1" ->
         let router =
-          match Sjson.member "router" doc with
-          | Some (Sjson.Obj _ as r) ->
-            [ flight_source_of_json ~label:"router" r ]
+          match Json.member "router" doc with
+          | Some (Json.Obj _ as r) ->
+            [ Flight.source_of_json ~label:"router" r ]
           | _ -> []
         in
         let backends =
-          match Sjson.member "backends" doc with
-          | Some (Sjson.Arr parts) ->
+          match Json.member "backends" doc with
+          | Some (Json.Arr parts) ->
             List.filter_map
               (fun p ->
-                let b = Option.value ~default:0 (Sjson.mem_int "backend" p) in
-                match Sjson.member "flight" p with
-                | Some (Sjson.Obj _ as f) ->
+                let b = Option.value ~default:0 (Json.mem_int "backend" p) in
+                match Json.member "flight" p with
+                | Some (Json.Obj _ as f) ->
                   Some
-                    (flight_source_of_json
+                    (Flight.source_of_json
                        ~label:(Printf.sprintf "backend-%d" b)
                        f)
                 | _ -> None)
@@ -1109,7 +1054,7 @@ let trace_cmd =
           | _ -> []
         in
         router @ backends
-      | _ -> [ flight_source_of_json ~label:"server" doc ]
+      | _ -> [ Flight.source_of_json ~label:"server" doc ]
     in
     let trace = Flight.assemble ?rid sources in
     let kept (r : Flight.record) =

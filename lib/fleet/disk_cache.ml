@@ -20,7 +20,7 @@
    lines. [put] is last-write-wins on reload but skips keys already
    indexed, so re-serving a cached verdict never grows the log. *)
 
-module Json = Sepsat_serve.Json
+module Json = Sepsat_util.Json
 module Protocol = Sepsat_serve.Protocol
 
 type entry = {

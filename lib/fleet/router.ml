@@ -35,7 +35,7 @@ module Ast = Sepsat_suf.Ast
 module Parse = Sepsat_suf.Parse
 module Smtlib = Sepsat_suf.Smtlib
 module Protocol = Sepsat_serve.Protocol
-module Json = Sepsat_serve.Json
+module Json = Sepsat_util.Json
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Prom = Sepsat_obs.Prom
@@ -553,16 +553,11 @@ let fan_merge_dump fan =
   (* The router's own flight ring rides along: it holds the hop spans
      (hop.router_parse, hop.router_queue, hop.wire, fleet.request) that
      the per-process lanes of an assembled trace are built from. *)
-  let router_flight =
-    match Json.parse (Flight.to_json ()) with
-    | Ok j -> j
-    | Error _ -> Json.Null
-  in
   Json.to_string
     (Json.Obj
        [
          ("schema", Json.Str "sepsat-fleet-dump-1");
-         ("router", router_flight);
+         ("router", Flight.to_json ());
          ("backends", Json.Arr parts);
        ])
 

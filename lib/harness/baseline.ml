@@ -24,7 +24,7 @@
    would miss a 10x slowdown of a fast one. *)
 
 module Decide = Sepsat.Decide
-module J = Sepsat_serve.Json
+module J = Sepsat_util.Json
 
 type entry = {
   e_bench : string;

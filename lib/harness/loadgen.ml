@@ -346,7 +346,7 @@ let pp ppf r =
       ms
 
 let write_json path r =
-  let module J = Sepsat_serve.Json in
+  let module J = Sepsat_util.Json in
   let flat l =
     J.Obj
       [

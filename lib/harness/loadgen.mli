@@ -77,8 +77,8 @@ val run : config -> report
 val pp : Format.formatter -> report -> unit
 
 val write_json : string -> report -> unit
-(** Schema-2 throughput report (hand-rolled JSON, same policy as
-    {!Runner.write_json}). Includes a perf-gate-dialect ["runs"] array —
+(** Schema-2 throughput report, printed by {!Sepsat_util.Json} like
+    {!Runner.write_json}. Includes a perf-gate-dialect ["runs"] array —
     one entry per overall latency quantile (mean/p50/p90/p99, bench
     ["serve.loadgen"] or ["fleet.loadgen"]) — so
     [bench --compare BASELINE --compare-current THIS.json] gates the

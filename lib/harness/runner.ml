@@ -131,22 +131,9 @@ let penalized_time ~deadline_s row =
 let normalized_time ~deadline_s row =
   penalized_time ~deadline_s row /. (float_of_int (max row.size 1) /. 1000.)
 
-(* -- Machine-readable export (hand-rolled JSON, no dependency) ------------ *)
+(* -- Machine-readable export ------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Sepsat_util.Json
 
 let verdict_label = function
   | Verdict.Valid -> "valid"
@@ -158,62 +145,66 @@ let outcome_label = function
   | Timed_out -> "timeout"
   | Blew_up -> "blowup"
 
-let row_to_json row =
-  let method_str = Format.asprintf "%a" Decide.pp_method row.method_ in
-  let winner_str =
-    match row.winner with
-    | Some m -> Printf.sprintf "%S" (Format.asprintf "%a" Decide.pp_method m)
-    | None -> "null"
-  in
-  let phases_str =
-    String.concat ", "
-      (List.map
-         (fun (name, t) -> Printf.sprintf "\"%s\": %.6f" (json_escape name) t)
-         row.phase_times)
-  in
-  Printf.sprintf
-    "{\"bench\": \"%s\", \"family\": \"%s\", \"method\": \"%s\", \"verdict\": \
-     \"%s\", \"outcome\": \"%s\", \"wall_time\": %.6f, \"cpu_time\": %.6f, \
-     \"translate_time\": %.6f, \"sat_time\": %.6f, \"phase_times\": {%s}, \
-     \"size\": %d, \"sep_cnt\": %d, \"cnf_clauses\": %d, \"conflicts\": %d, \
-     \"decisions\": %d, \"propagations\": %d, \"winner\": %s, \"gc\": \
-     {\"alloc_words\": %.0f, \"major_words\": %.0f, \"heap_words\": %d}}"
-    (json_escape row.bench) (json_escape row.family) (json_escape method_str)
-    (verdict_label row.verdict)
-    (outcome_label row.outcome)
-    row.wall_time row.total_time row.translate_time row.sat_time phases_str
-    row.size row.sep_cnt row.cnf_clauses row.conflicts row.decisions
-    row.propagations winner_str row.alloc_words row.major_words row.heap_words
+let method_json m = Json.Str (Format.asprintf "%a" Decide.pp_method m)
 
-let rows_to_json rows =
-  String.concat ""
-    [ "[\n  "; String.concat ",\n  " (List.map row_to_json rows); "\n]" ]
+let num_int i = Json.Num (float_of_int i)
+
+let row_to_json row =
+  Json.Obj
+    [
+      ("bench", Json.Str row.bench);
+      ("family", Json.Str row.family);
+      ("method", method_json row.method_);
+      ("verdict", Json.Str (verdict_label row.verdict));
+      ("outcome", Json.Str (outcome_label row.outcome));
+      ("wall_time", Json.Num row.wall_time);
+      ("cpu_time", Json.Num row.total_time);
+      ("translate_time", Json.Num row.translate_time);
+      ("sat_time", Json.Num row.sat_time);
+      ( "phase_times",
+        Json.Obj (List.map (fun (name, t) -> (name, Json.Num t)) row.phase_times)
+      );
+      ("size", num_int row.size);
+      ("sep_cnt", num_int row.sep_cnt);
+      ("cnf_clauses", num_int row.cnf_clauses);
+      ("conflicts", num_int row.conflicts);
+      ("decisions", num_int row.decisions);
+      ("propagations", num_int row.propagations);
+      ("winner", Option.fold ~none:Json.Null ~some:method_json row.winner);
+      ( "gc",
+        Json.Obj
+          [
+            ("alloc_words", Json.Num row.alloc_words);
+            ("major_words", Json.Num row.major_words);
+            ("heap_words", num_int row.heap_words);
+          ] );
+    ]
 
 (* Schema 2: the run array moved under "runs" to make room for process-wide
    GC telemetry and the observability metrics registry snapshot. *)
 let report_to_json rows =
   let g = Gc.quick_stat () in
-  let gc_json =
-    Printf.sprintf
-      "{\"minor_words\": %.0f, \"major_words\": %.0f, \"promoted_words\": \
-       %.0f, \"minor_collections\": %d, \"major_collections\": %d, \
-       \"heap_words\": %d, \"top_heap_words\": %d, \"compactions\": %d}"
-      g.Gc.minor_words g.Gc.major_words g.Gc.promoted_words
-      g.Gc.minor_collections g.Gc.major_collections g.Gc.heap_words
-      g.Gc.top_heap_words g.Gc.compactions
-  in
-  String.concat ""
+  Json.Obj
     [
-      "{\n\"schema\": 2,\n\"runs\": ";
-      rows_to_json rows;
-      ",\n\"gc\": ";
-      gc_json;
-      ",\n\"metrics\": ";
-      Metrics.to_json ();
-      "\n}\n";
+      ("schema", Json.Num 2.);
+      ("runs", Json.Arr (List.map row_to_json rows));
+      ( "gc",
+        Json.Obj
+          [
+            ("minor_words", Json.Num g.Gc.minor_words);
+            ("major_words", Json.Num g.Gc.major_words);
+            ("promoted_words", Json.Num g.Gc.promoted_words);
+            ("minor_collections", num_int g.Gc.minor_collections);
+            ("major_collections", num_int g.Gc.major_collections);
+            ("heap_words", num_int g.Gc.heap_words);
+            ("top_heap_words", num_int g.Gc.top_heap_words);
+            ("compactions", num_int g.Gc.compactions);
+          ] );
+      ("metrics", Metrics.to_json ());
     ]
 
 let write_json path rows =
   let oc = open_out path in
-  output_string oc (report_to_json rows);
+  output_string oc (Json.to_string (report_to_json rows));
+  output_char oc '\n';
   close_out oc

@@ -45,8 +45,8 @@ val recorded_rows : unit -> row list
     {!reset_recorded}), in execution order. *)
 
 val write_json : string -> row list -> unit
-(** Write a schema-2 report object (hand-rolled JSON; no external
-    dependency): [{"schema": 2, "runs": [...], "gc": {...}, "metrics":
+(** Write a schema-2 report object, printed by
+    {!Sepsat_util.Json.to_string}: [{"schema": 2, "runs": [...], "gc": {...}, "metrics":
     {...}}]. Keys per run: [bench], [family], [method], [verdict]
     ([valid]/[invalid]/[unknown]), [outcome]
     ([completed]/[timeout]/[blowup]), [wall_time], [cpu_time],

@@ -3,26 +3,26 @@
    duration events, i instants, C counters and M metadata, which both
    chrome://tracing and Perfetto load. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Sepsat_util.Json
 
-type out = { buf : Buffer.t; mutable first : bool }
+(* Every event carries its name, phase, pid 0 and its lane's tid; [fields]
+   add the rest. Events are collected newest first and reversed once. *)
+let emit o ~ph ~tid name fields =
+  o :=
+    Json.Obj
+      (("name", Json.Str name) :: ("ph", Json.Str ph) :: ("pid", Json.Num 0.)
+      :: ("tid", Json.Num (float_of_int tid)) :: fields)
+    :: !o
 
-let emit o fmt =
-  if o.first then o.first <- false else Buffer.add_string o.buf ",\n  ";
-  Printf.ksprintf (Buffer.add_string o.buf) fmt
+let cat_field cat = ("cat", Json.Str (if cat = "" then "sepsat" else cat))
+
+let ts_field ts = ("ts", Json.Num ts)
+
+let args kvs = ("args", Json.Obj kvs)
+
+(* The rid rides in [args] so Perfetto's query/filter UI can isolate one
+   request's spans across every lane. *)
+let rid_args rid = if rid = "" then [] else [ args [ ("rid", Json.Str rid) ] ]
 
 (* Span begin/end replay for one tid. Spans are sorted so parents precede
    their children ([ts] ascending, duration descending breaks the tie);
@@ -40,25 +40,11 @@ let emit_spans o ~tid spans =
         | c -> c)
       spans
   in
-  (* The rid rides in [args] so Perfetto's query/filter UI can isolate one
-     request's spans across every lane. *)
-  let rid_args rid =
-    if rid = "" then ""
-    else Printf.sprintf ", \"args\": {\"rid\": \"%s\"}" (escape rid)
-  in
   let emit_b (name, cat, rid, ts, _) =
-    emit o
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"B\", \"pid\": 0, \
-       \"tid\": %d, \"ts\": %.3f%s}"
-      (escape name)
-      (escape (if cat = "" then "sepsat" else cat))
-      tid ts (rid_args rid)
+    emit o ~ph:"B" ~tid name (cat_field cat :: ts_field ts :: rid_args rid)
   in
   let emit_e ~at (name, _, _, _, _) =
-    emit o
-      "{\"name\": \"%s\", \"ph\": \"E\", \"pid\": 0, \"tid\": %d, \"ts\": \
-       %.3f}"
-      (escape name) tid at
+    emit o ~ph:"E" ~tid name [ ts_field at ]
   in
   let ends (_, _, _, ts, d) = ts +. d in
   let contains p c = ends c <= ends p in
@@ -94,23 +80,19 @@ let emit_spans o ~tid spans =
   in
   drain neg_infinity
 
-let to_buffer buf evs =
-  let o = { buf; first = true } in
+let to_string evs =
+  let o = ref [] in
   let t0 =
     List.fold_left (fun acc e -> Float.min acc (Obs.event_ts e)) infinity evs
   in
   let t0 = if Float.is_finite t0 then t0 else 0. in
   let us t = (t -. t0) *. 1e6 in
-  Buffer.add_string buf "{\"traceEvents\": [\n  ";
-  emit o
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-     \"args\": {\"name\": \"sepsat\"}}";
+  let metadata name tid label =
+    emit o ~ph:"M" ~tid name [ args [ ("name", Json.Str label) ] ]
+  in
+  metadata "process_name" 0 "sepsat";
   List.iter
-    (fun (tid, name) ->
-      emit o
-        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-         \"args\": {\"name\": \"%s\"}}"
-        tid (escape name))
+    (fun (tid, name) -> metadata "thread_name" tid name)
     (Obs.thread_names ());
   (* Group spans per tid so each lane's B/E stream nests independently. *)
   let by_tid :
@@ -130,19 +112,12 @@ let to_buffer buf evs =
         in
         r := (name, cat, rid, us ts, dur *. 1e6) :: !r
       | Obs.Instant { name; cat; ts; tid; rid } ->
-        emit o
-          "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
-           \"pid\": 0, \"tid\": %d, \"ts\": %.3f%s}"
-          (escape name)
-          (escape (if cat = "" then "sepsat" else cat))
-          tid (us ts)
-          (if rid = "" then ""
-           else Printf.sprintf ", \"args\": {\"rid\": \"%s\"}" (escape rid))
+        emit o ~ph:"i" ~tid name
+          (cat_field cat :: ("s", Json.Str "t") :: ts_field (us ts)
+          :: rid_args rid)
       | Obs.Sample { name; ts; value; tid } ->
-        emit o
-          "{\"name\": \"%s\", \"ph\": \"C\", \"pid\": 0, \"tid\": %d, \"ts\": \
-           %.3f, \"args\": {\"value\": %.6g}}"
-          (escape name) tid (us ts) value)
+        emit o ~ph:"C" ~tid name
+          [ ts_field (us ts); args [ ("value", Json.Num value) ] ])
     evs;
   let tids =
     Hashtbl.fold (fun tid _ acc -> tid :: acc) by_tid [] |> List.sort compare
@@ -153,20 +128,19 @@ let to_buffer buf evs =
       | Some spans -> emit_spans o ~tid (List.rev !spans)
       | None -> ())
     tids;
-  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\"}\n"
-
-let to_string evs =
-  let buf = Buffer.create 65536 in
-  to_buffer buf evs;
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.rev !o));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
 
 let write_file path evs =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let buf = Buffer.create 65536 in
-      to_buffer buf evs;
-      Buffer.output_buffer oc buf)
+      output_string oc (to_string evs);
+      output_char oc '\n')
 
 let write_current path = write_file path (Obs.events ())

@@ -11,9 +11,9 @@
     each domain's spans and replays them against a stack, so the file is
     structurally valid even if ring overflow dropped events. *)
 
-val to_buffer : Buffer.t -> Obs.event list -> unit
-
 val to_string : Obs.event list -> string
+(** The trace document for [evs] on one line, printed by
+    {!Sepsat_util.Json.to_string}. *)
 
 val write_file : string -> Obs.event list -> unit
 (** Export {!Obs.events} (plus thread-name metadata) to [path]. *)

@@ -133,73 +133,56 @@ let dropped () =
 
 (* -- JSON dump ------------------------------------------------------------ *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Sepsat_util.Json
 
-let add_record buf r =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"ts\": %.6f, \"mono\": %.6f, \"tid\": %d, \"kind\": \"%s\", "
-       r.fr_ts r.fr_mono r.fr_tid (kind_name r.fr_kind));
-  Buffer.add_string buf "\"name\": ";
-  add_json_string buf r.fr_name;
-  if r.fr_rid <> "" then begin
-    Buffer.add_string buf ", \"rid\": ";
-    add_json_string buf r.fr_rid
-  end;
-  if r.fr_dur_ms <> 0. then
-    Buffer.add_string buf (Printf.sprintf ", \"dur_ms\": %.6f" r.fr_dur_ms);
-  if r.fr_data <> [] then begin
-    Buffer.add_string buf ", \"data\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        add_json_string buf k;
-        Buffer.add_string buf ": ";
-        add_json_string buf v)
-      r.fr_data;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}'
+let kind_of_name = function
+  | "span" -> Span
+  | "log" -> Log
+  | "progress" -> Progress
+  | _ -> Event
+
+let num_int i = Json.Num (float_of_int i)
+
+(* Empty rid, zero duration and empty data are left out; [source_of_json]
+   restores exactly those defaults. *)
+let record_json r =
+  let opt cond kv = if cond then [ kv ] else [] in
+  Json.Obj
+    ([
+       ("ts", Json.Num r.fr_ts);
+       ("mono", Json.Num r.fr_mono);
+       ("tid", num_int r.fr_tid);
+       ("kind", Json.Str (kind_name r.fr_kind));
+       ("name", Json.Str r.fr_name);
+     ]
+    @ opt (r.fr_rid <> "") ("rid", Json.Str r.fr_rid)
+    @ opt (r.fr_dur_ms <> 0.) ("dur_ms", Json.Num r.fr_dur_ms)
+    @ opt (r.fr_data <> [])
+        ("data", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.fr_data)))
 
 let to_json () =
   let recs = records () in
-  let buf = Buffer.create 65536 in
   (* The (wall, mono) pair is sampled together so a consumer can map any
      record's mono stamp onto the wall timeline without assuming the two
      processes' wall clocks agree — see [assemble]. *)
   let wall, mono = Clock.pair () in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\": \"sepsat-flight-1\", \"pid\": %d, \"dumped_at\": %.6f, \
-        \"wall\": %.6f, \"mono\": %.6f, \"dropped\": %d, \"records\": ["
-       (Unix.getpid ()) wall wall mono (dropped ()));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      add_record buf r)
-    recs;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("schema", Json.Str "sepsat-flight-1");
+      ("pid", num_int (Unix.getpid ()));
+      ("dumped_at", Json.Num wall);
+      ("wall", Json.Num wall);
+      ("mono", Json.Num mono);
+      ("dropped", num_int (dropped ()));
+      ("records", Json.Arr (List.map record_json recs));
+    ]
 
 let write path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (to_json ());
+      output_string oc (Json.to_string (to_json ()));
       output_char oc '\n')
 
 (* -- Cross-process assembly ----------------------------------------------- *)
@@ -211,6 +194,49 @@ type source = {
   src_mono : float;
   src_records : record list;
 }
+
+(* Dumps predating the wall/mono header pair (or the per-record mono
+   stamp) fall back to raw wall time, per the documented compat rule. *)
+let source_of_json ~label j =
+  let num k o = Json.mem_num k o in
+  let wall =
+    match num "wall" j with
+    | Some w -> w
+    | None -> Option.value ~default:0. (num "dumped_at" j)
+  in
+  let record = function
+    | Json.Obj _ as r ->
+      let ts = Option.value ~default:0. (num "ts" r) in
+      Some
+        {
+          fr_ts = ts;
+          fr_mono = Option.value ~default:ts (num "mono" r);
+          fr_tid = Option.value ~default:0 (Json.mem_int "tid" r);
+          fr_rid = Option.value ~default:"" (Json.mem_str "rid" r);
+          fr_kind =
+            kind_of_name (Option.value ~default:"" (Json.mem_str "kind" r));
+          fr_name = Option.value ~default:"" (Json.mem_str "name" r);
+          fr_dur_ms = Option.value ~default:0. (num "dur_ms" r);
+          fr_data =
+            (match Json.member "data" r with
+            | Some (Json.Obj kvs) ->
+              List.filter_map
+                (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
+                kvs
+            | _ -> []);
+        }
+    | _ -> None
+  in
+  {
+    src_label = label;
+    src_pid = Option.value ~default:0 (Json.mem_int "pid" j);
+    src_wall = wall;
+    src_mono = Option.value ~default:wall (num "mono" j);
+    src_records =
+      (match Json.member "records" j with
+      | Some (Json.Arr rs) -> List.filter_map record rs
+      | _ -> []);
+  }
 
 (* One Chrome trace from many processes' flight dumps. Each source's
    (wall, mono) header pair pins its mono timeline to the shared wall
@@ -237,23 +263,19 @@ let assemble ?rid sources =
       Float.infinity sources
   in
   let origin = if origin = Float.infinity then 0. else origin in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\": [";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string buf ", "
+  let lanes =
+    List.mapi
+      (fun pid src ->
+        Json.Obj
+          [
+            ("name", Json.Str "process_name");
+            ("ph", Json.Str "M");
+            ("pid", num_int pid);
+            ("tid", Json.Num 0.);
+            ("args", Json.Obj [ ("name", Json.Str src.src_label) ]);
+          ])
+      sources
   in
-  List.iteri
-    (fun pid src ->
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \
-            \"tid\": 0, \"args\": {\"name\": "
-           pid);
-      add_json_string buf src.src_label;
-      Buffer.add_string buf "}}")
-    sources;
   (* Flatten, tag with the source lane, and sort by start time so the
      event stream reads in causal order. *)
   let events =
@@ -272,34 +294,35 @@ let assemble ?rid sources =
          sources)
     |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
   in
-  List.iter
-    (fun (start_us, pid, r) ->
-      sep ();
-      Buffer.add_string buf "{\"name\": ";
-      add_json_string buf r.fr_name;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ", \"cat\": \"%s\", \"pid\": %d, \"tid\": %d, \"ts\": %.3f"
-           (kind_name r.fr_kind) pid r.fr_tid start_us);
+  let event (start_us, pid, r) =
+    let phase =
       if r.fr_dur_ms > 0. then
-        Buffer.add_string buf
-          (Printf.sprintf ", \"ph\": \"X\", \"dur\": %.3f"
-             (r.fr_dur_ms *. 1e3))
-      else Buffer.add_string buf ", \"ph\": \"i\", \"s\": \"t\"";
-      Buffer.add_string buf ", \"args\": {";
-      Buffer.add_string buf "\"rid\": ";
-      add_json_string buf r.fr_rid;
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf ", ";
-          add_json_string buf ("data." ^ k);
-          Buffer.add_string buf ": ";
-          add_json_string buf v)
-        r.fr_data;
-      Buffer.add_string buf "}}")
-    events;
-  Buffer.add_string buf "], \"displayTimeUnit\": \"ms\"}";
-  Buffer.contents buf
+        [ ("ph", Json.Str "X"); ("dur", Json.Num (r.fr_dur_ms *. 1e3)) ]
+      else [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+    in
+    Json.Obj
+      ([
+         ("name", Json.Str r.fr_name);
+         ("cat", Json.Str (kind_name r.fr_kind));
+         ("pid", num_int pid);
+         ("tid", num_int r.fr_tid);
+         ("ts", Json.Num start_us);
+       ]
+      @ phase
+      @ [
+          ( "args",
+            Json.Obj
+              (("rid", Json.Str r.fr_rid)
+              :: List.map (fun (k, v) -> ("data." ^ k, Json.Str v)) r.fr_data)
+          );
+        ])
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (lanes @ List.map event events));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
 
 (* -- Dump management ------------------------------------------------------ *)
 

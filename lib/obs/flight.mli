@@ -54,12 +54,14 @@ val records : unit -> record list
 val dropped : unit -> int
 (** Records lost to ring overwrite since the last {!reset}. *)
 
-val to_json : unit -> string
+val to_json : unit -> Sepsat_util.Json.t
 (** The full recorder state as one JSON document
     [{"schema": "sepsat-flight-1", "pid", "dumped_at", "wall", "mono",
     "dropped", "records": [...]}]. [wall] and [mono] are one
     {!Clock.pair} sampled at dump time — the anchor {!assemble} uses to
-    align this process's records with other processes' dumps. *)
+    align this process's records with other processes' dumps. Each record
+    carries [ts], [mono], [tid], [kind] and [name], plus [rid], [dur_ms]
+    and [data] (an object of strings) when they are not empty or zero. *)
 
 (** {1 Cross-process assembly} *)
 
@@ -73,6 +75,14 @@ type source = {
 (** One process's flight dump, decoded. For dumps predating the header
     pair, set [src_mono = src_wall] and each record's [fr_mono = fr_ts]
     — alignment degrades to raw wall time, exactly the old behaviour. *)
+
+val source_of_json : label:string -> Sepsat_util.Json.t -> source
+(** Decode a {!to_json} document. [source_of_json ~label (to_json ())]
+    returns every record with the same fields, floats bit for bit, and
+    the header's [wall]/[mono] pair. A dump without the header pair falls
+    back to [dumped_at] for both, and a record without [mono] to its [ts],
+    as described for {!source}. Missing fields take the defaults {!to_json}
+    omits ([""], [0.], [[]]); unknown kinds decode as [Event]. *)
 
 val assemble : ?rid:string -> source list -> string
 (** Merge many processes' flight records into one Chrome trace document

@@ -5,18 +5,17 @@
    whole path (request → shed/hit/solve/deadline → reply) and `jq` can
    aggregate. Design points:
 
-   - Per-domain buffering: each domain formats its line into a
-     domain-local Buffer, then hands the *complete* line to the sink under
-     one mutex. Lines from concurrent worker domains never interleave
-     mid-line, and formatting itself takes no lock.
-   - Exception safety: the domain buffer is cleared on every path
-     (Fun.protect), so a sink that raises — a closed log file, a full pipe
-     — cannot leave half a line to corrupt the next event, and the
-     exception propagates to the caller.
+   - Whole lines: each event is rendered to one complete string before the
+     sink is called under one mutex, so lines from concurrent worker
+     domains never interleave mid-line, and rendering takes no lock. A
+     sink that raises — a closed log file, a full pipe — loses only its
+     own line; the exception propagates to the caller.
    - Ambient context: [with_fields] pushes key/values (typically the
      correlation id) onto a domain-local stack; every event emitted inside
      carries them. That is how one rid threads through the engine's
      parse/cache/solve path without plumbing it into each call. *)
+
+module Json = Sepsat_util.Json
 
 type value = S of string | I of int | F of float | B of bool
 
@@ -68,40 +67,11 @@ let current_fields () = Domain.DLS.get ctx_key
 
 (* -- JSON rendering -------------------------------------------------------- *)
 
-let buf_key : Buffer.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Buffer.create 256)
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let add_value buf = function
-  | S s -> add_json_string buf s
-  | I i -> Buffer.add_string buf (string_of_int i)
-  | B b -> Buffer.add_string buf (if b then "true" else "false")
-  | F f ->
-    if not (Float.is_finite f) then Buffer.add_string buf "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.9g" f)
-
-let add_field buf (k, v) =
-  Buffer.add_string buf ", ";
-  add_json_string buf k;
-  Buffer.add_string buf ": ";
-  add_value buf v
+let to_json = function
+  | S s -> Json.Str s
+  | I i -> Json.Num (float_of_int i)
+  | F f -> Json.Num f
+  | B b -> Json.Bool b
 
 let level_name = function
   | Obs.Quiet -> "quiet"
@@ -119,11 +89,9 @@ let field_rid fields =
   | Some _ as r -> r
   | None -> pick (Domain.DLS.get ctx_key)
 
-let value_string = function
-  | S s -> s
-  | I i -> string_of_int i
-  | B b -> string_of_bool b
-  | F f -> Printf.sprintf "%.9g" f
+(* Flight payloads are strings: a string field as is, anything else as
+   its JSON text. *)
+let value_string = function S s -> s | v -> Json.to_string (to_json v)
 
 let event ?(level = Obs.Info) name fields =
   (* Emitted lines also land in the flight recorder (when that is on) even
@@ -140,25 +108,22 @@ let event ?(level = Obs.Info) name fields =
         ~data:(List.map (fun (k, v) -> (k, value_string v)) fields)
         Flight.Log name;
     if to_sink then begin
-      let buf = Domain.DLS.get buf_key in
-      Buffer.clear buf;
-      Fun.protect
-        ~finally:(fun () -> Buffer.clear buf)
-        (fun () ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"ts\": %.6f, \"level\": \"%s\", \"event\": "
-               (Unix.gettimeofday ()) (level_name level));
-          add_json_string buf name;
-          List.iter (add_field buf) fields;
-          (* Ambient context after the explicit fields; a context key shadowed
-             by an explicit field is dropped so lookups (first occurrence
-             wins) see the more specific value. *)
-          List.iter
-            (fun (k, v) ->
-              if not (List.mem_assoc k fields) then add_field buf (k, v))
-            (Domain.DLS.get ctx_key);
-          Buffer.add_char buf '}';
-          let line = Buffer.contents buf in
-          Mutex.protect sink_mu (fun () -> !sink line))
+      (* Ambient context after the explicit fields; a context key shadowed
+         by an explicit field is dropped so lookups (first occurrence wins)
+         see the more specific value. *)
+      let ambient =
+        List.filter
+          (fun (k, _) -> not (List.mem_assoc k fields))
+          (Domain.DLS.get ctx_key)
+      in
+      let line =
+        Json.to_string
+          (Json.Obj
+             (("ts", Json.Num (Unix.gettimeofday ()))
+             :: ("level", Json.Str (level_name level))
+             :: ("event", Json.Str name)
+             :: List.map (fun (k, v) -> (k, to_json v)) (fields @ ambient)))
+      in
+      Mutex.protect sink_mu (fun () -> !sink line)
     end
   end

@@ -5,15 +5,15 @@
     and typed fields, so one [grep] on a correlation id reconstructs a
     request's full path through the server and [jq] can aggregate the rest.
 
-    Concurrency: each domain formats into a domain-local buffer, then the
-    completed line is handed to the sink under a single mutex — concurrent
-    worker domains never interleave mid-line. Exception safety: the domain
-    buffer is cleared whether formatting or the sink raises, so a failing
-    sink cannot corrupt subsequent lines. Off by default; a disabled
+    Concurrency: each event is rendered to a complete line with
+    {!Sepsat_util.Json.to_string}, then handed to the sink under a single
+    mutex — concurrent worker domains never interleave mid-line, and a
+    sink that raises loses only its own line. Off by default; a disabled
     {!event} costs one atomic load and a branch. *)
 
 type value = S of string | I of int | F of float | B of bool
-(** Field values. Non-finite floats render as [null] (strict JSON). *)
+(** Field values. Non-finite floats render as [null] (strict JSON); in
+    flight records a non-string value is stored as its JSON text. *)
 
 type field = string * value
 

@@ -174,52 +174,48 @@ let snapshot () =
       Hashtbl.fold (fun name m acc -> (name, read m) :: acc) table [])
   |> List.sort compare
 
-(* Strict JSON: no infinity lexeme exists, and the once-used `1e999`
-   workaround is rejected by conforming parsers. Non-finite values render
-   as null, and the histogram's +inf bucket is simply omitted — it is
-   implicit, [count - sum(finite bins)] — the same convention Prometheus
-   uses with its mandatory `_count` series. *)
-let json_float f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
+(* Strict JSON: non-finite values print as null (see [Json.to_string]),
+   and the histogram's +inf bucket is simply omitted — it is implicit,
+   [count - sum(finite bins)] — the same convention Prometheus uses with
+   its mandatory `_count` series. *)
 let to_json () =
+  let module Json = Sepsat_util.Json in
   let entry (name, v) =
     let body =
       match v with
-      | Counter n -> string_of_int n
-      | Gauge f -> json_float f
+      | Counter n -> Json.Num (float_of_int n)
+      | Gauge f -> Json.Num f
       | Histogram { count; sum; buckets; exemplars } ->
-        let exemplars_json =
-          if exemplars = [] then ""
-          else
-            Printf.sprintf ", \"exemplars\": [%s]"
-              (String.concat ", "
-                 (List.map
-                    (fun (ub, e) ->
-                      Printf.sprintf
-                        "{\"le\": %s, \"rid\": \"%s\", \"value\": %s, \"ts\": \
-                         %.6f}"
-                        (json_float ub) (String.escaped e.ex_rid)
-                        (json_float e.ex_value) e.ex_ts)
-                    exemplars))
+        let exemplar (ub, e) =
+          Json.Obj
+            [
+              ("le", Json.Num ub);
+              ("rid", Json.Str e.ex_rid);
+              ("value", Json.Num e.ex_value);
+              ("ts", Json.Num e.ex_ts);
+            ]
         in
-        Printf.sprintf "{\"count\": %d, \"sum\": %s, \"buckets\": [%s]%s}" count
-          (json_float sum)
-          (String.concat ", "
-             (List.filter_map
-                (fun (ub, n) ->
-                  if Float.is_finite ub then
-                    Some (Printf.sprintf "[%s, %d]" (json_float ub) n)
-                  else None)
-                buckets))
-          exemplars_json
+        Json.Obj
+          ([
+             ("count", Json.Num (float_of_int count));
+             ("sum", Json.Num sum);
+             ( "buckets",
+               Json.Arr
+                 (List.filter_map
+                    (fun (ub, n) ->
+                      if Float.is_finite ub then
+                        Some
+                          (Json.Arr [ Json.Num ub; Json.Num (float_of_int n) ])
+                      else None)
+                    buckets) );
+           ]
+          @
+          if exemplars = [] then []
+          else [ ("exemplars", Json.Arr (List.map exemplar exemplars)) ])
     in
-    Printf.sprintf "\"%s\": %s" name body
+    (name, body)
   in
-  "{" ^ String.concat ", " (List.map entry (snapshot ())) ^ "}"
+  Json.Obj (List.map entry (snapshot ()))
 
 let pp ppf () =
   List.iter

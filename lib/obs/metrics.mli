@@ -80,14 +80,15 @@ type value =
 val snapshot : unit -> (string * value) list
 (** Every registered metric with its current value, sorted by name. *)
 
-val to_json : unit -> string
+val to_json : unit -> Sepsat_util.Json.t
 (** The snapshot as one JSON object keyed by metric name: counters as
     integers, gauges as floats, histograms as
     [{"count":n,"sum":s,"buckets":[[ub,n],...]}] plus an ["exemplars"]
-    array when any bucket holds one. Strict JSON: non-finite
-    floats render as [null], and only finite-bound buckets are listed — the
-    [+inf] bin is implicit ([count] minus the listed bins). ["{}"] when
-    nothing is registered. *)
+    array of [{"le","rid","value","ts"}] when any bucket holds one (the
+    [+inf] bucket's exemplar has ["le":null]). Strict JSON: non-finite
+    floats print as [null], and only finite-bound buckets are listed — the
+    [+inf] bin is implicit ([count] minus the listed bins). An empty
+    object when nothing is registered. *)
 
 val pp : Format.formatter -> unit -> unit
 (** Human-readable table of the snapshot (the [--stats] view). *)

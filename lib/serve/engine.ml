@@ -5,6 +5,7 @@ module Decide = Sepsat.Decide
 module Verdict = Sepsat_sep.Verdict
 module Brute = Sepsat_sep.Brute
 module Deadline = Sepsat_util.Deadline
+module Json = Sepsat_util.Json
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Log = Sepsat_obs.Log

@@ -176,7 +176,7 @@ type stats = {
 
 val stats : t -> stats
 
-val stats_json : t -> Json.t
+val stats_json : t -> Sepsat_util.Json.t
 (** The [stats] reply payload of the protocol: the {!stats} fields plus
     [latency_ms.p99_rid], the [serve.request_s] histogram's per-bucket
     ["exemplars"] and the live ["lanes"] array. *)

@@ -1,3 +1,4 @@
+module Json = Sepsat_util.Json
 module Decide = Sepsat.Decide
 module Verdict = Sepsat_sep.Verdict
 

@@ -152,7 +152,7 @@ type reply =
   | Busy of string  (** payload: id; the request queue was full — shed *)
   | Error of string * string  (** id, reason *)
   | Pong of string
-  | Stats of string * Json.t
+  | Stats of string * Sepsat_util.Json.t
   | Metrics of string * string
       (** id, Prometheus text-format document. On the wire the document is
           one JSON string field ["prometheus"] (newlines escaped), next to

@@ -1,6 +1,8 @@
 module Obs = Sepsat_obs.Obs
 module Prom = Sepsat_obs.Prom
 module Clock = Sepsat_obs.Clock
+module Flight = Sepsat_obs.Flight
+module Json = Sepsat_util.Json
 
 let with_lock mu f =
   Mutex.lock mu;
@@ -97,7 +99,7 @@ let serve_channels eng ic oc =
           send (Protocol.Metrics (id, Prom.current ()));
           loop ()
         | Ok (Protocol.Dump_req id) ->
-          send (Protocol.Dump (id, Sepsat_obs.Flight.to_json ()));
+          send (Protocol.Dump (id, Json.to_string (Flight.to_json ())));
           loop ()
         | Ok (Protocol.Shutdown id) ->
           send (Protocol.Bye id);

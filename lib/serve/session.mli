@@ -44,7 +44,7 @@ val solve :
 
 val ping : t -> bool
 
-val stats : t -> Json.t option
+val stats : t -> Sepsat_util.Json.t option
 (** [None] when the server answered anything but a [stats] reply. *)
 
 val metrics : t -> string option

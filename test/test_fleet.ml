@@ -10,7 +10,7 @@ module Poll = Sepsat_fleet.Poll
 module Lineconn = Sepsat_fleet.Lineconn
 module Disk_cache = Sepsat_fleet.Disk_cache
 module Fleet = Sepsat_fleet.Fleet
-module Json = Sepsat_serve.Json
+module Json = Sepsat_util.Json
 module Protocol = Sepsat_serve.Protocol
 module Engine = Sepsat_serve.Engine
 module Session = Sepsat_serve.Session

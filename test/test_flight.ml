@@ -8,7 +8,7 @@ module Flight = Sepsat_obs.Flight
 module Trace_ctx = Sepsat_obs.Trace_ctx
 module Obs = Sepsat_obs.Obs
 module Log = Sepsat_obs.Log
-module Json = Sepsat_serve.Json
+module Json = Sepsat_util.Json
 
 let fresh ?capacity () =
   Flight.disable ();
@@ -101,6 +101,9 @@ let test_logs_feed_flight () =
     Alcotest.fail (Printf.sprintf "expected 1 log record, got %d"
                      (List.length rs))
 
+(* The dump as it reaches a file or the wire. *)
+let dump_text () = Json.to_string (Flight.to_json ())
+
 let parse_dump text =
   match Json.parse text with
   | Ok j -> j
@@ -116,7 +119,7 @@ let test_dump_json_roundtrip () =
   Flight.record ~rid:"rq-\"quoted\"\n" ~dur_ms:1.25
     ~data:[ ("edge", "tab\tand\\backslash") ]
     Flight.Span "weird";
-  let j = parse_dump (Flight.to_json ()) in
+  let j = parse_dump (dump_text ()) in
   Alcotest.(check (option string)) "schema" (Some "sepsat-flight-1")
     (Json.mem_str "schema" j);
   Alcotest.(check bool) "pid present" true (Json.mem_int "pid" j <> None);
@@ -210,7 +213,7 @@ let test_records_carry_mono () =
   | rs ->
     Alcotest.fail
       (Printf.sprintf "expected 1 record, got %d" (List.length rs)));
-  let j = parse_dump (Flight.to_json ()) in
+  let j = parse_dump (dump_text ()) in
   let wall = Json.mem_num "wall" j and mono = Json.mem_num "mono" j in
   Alcotest.(check bool) "dump header carries the wall/mono pair" true
     (wall <> None && mono <> None && Option.get mono >= Option.get wall);
@@ -334,34 +337,7 @@ let test_assemble_from_live_dump () =
   fresh ();
   Flight.record ~rid:"fl-live" ~dur_ms:2. Flight.Span "serve.solve";
   Flight.record ~rid:"rq-other" ~dur_ms:1. Flight.Span "noise";
-  let j = parse_dump (Flight.to_json ()) in
-  let wall = Option.get (Json.mem_num "wall" j) in
-  let mono = Option.get (Json.mem_num "mono" j) in
-  let records =
-    List.map
-      (fun r ->
-        let ts = Option.get (Json.mem_num "ts" r) in
-        {
-          Flight.fr_ts = ts;
-          fr_mono = Option.value ~default:ts (Json.mem_num "mono" r);
-          fr_tid = Option.value ~default:0 (Json.mem_int "tid" r);
-          fr_rid = Option.value ~default:"" (Json.mem_str "rid" r);
-          fr_kind = Flight.Span;
-          fr_name = Option.value ~default:"" (Json.mem_str "name" r);
-          fr_dur_ms = Option.value ~default:0. (Json.mem_num "dur_ms" r);
-          fr_data = [];
-        })
-      (dump_records j)
-  in
-  let src =
-    {
-      Flight.src_label = "server";
-      src_pid = Option.value ~default:0 (Json.mem_int "pid" j);
-      src_wall = wall;
-      src_mono = mono;
-      src_records = records;
-    }
-  in
+  let src = Flight.source_of_json ~label:"server" (parse_dump (dump_text ())) in
   let _, es = assemble_events (Flight.assemble ~rid:"fl-live" [ src ]) in
   let spans =
     List.filter (fun e -> Json.mem_str "ph" e = Some "X") es
@@ -371,6 +347,57 @@ let test_assemble_from_live_dump () =
   Alcotest.(check (option string)) "span name survives the round trip"
     (Some "serve.solve")
     (Json.mem_str "name" (List.hd spans))
+
+(* The dump is lossless: decoding the printed document gives back every
+   record and the header anchor pair exactly, floats included. A duration
+   of 1/3 ms needs 17 significant digits; a fixed six-decimal format
+   would lose most of them. *)
+let test_dump_decode_exact () =
+  fresh ();
+  Flight.record ~rid:"rq-x" ~dur_ms:(1. /. 3.)
+    ~data:[ ("k", "v"); ("empty", "") ]
+    Flight.Span "exact.span";
+  Flight.record Flight.Progress "exact.progress";
+  Flight.record ~data:[ ("n", "1") ] Flight.Log "exact.log";
+  Flight.record ~rid:"rq-y" Flight.Event "exact.event";
+  let live = Flight.records () in
+  let doc = parse_dump (dump_text ()) in
+  let src = Flight.source_of_json ~label:"me" doc in
+  Alcotest.(check bool) "every record decodes to an equal record" true
+    (src.Flight.src_records = live);
+  Alcotest.(check bool) "header wall exact" true
+    (Json.mem_num "wall" doc = Some src.Flight.src_wall);
+  Alcotest.(check bool) "header mono exact" true
+    (Json.mem_num "mono" doc = Some src.Flight.src_mono);
+  Alcotest.(check string) "label" "me" src.Flight.src_label;
+  Alcotest.(check int) "pid" (Unix.getpid ()) src.Flight.src_pid
+
+(* Dumps written before the wall/mono anchors existed carry only
+   [dumped_at] and per-record [ts]: both anchors fall back to [dumped_at]
+   and each record's mono to its own [ts]. *)
+let test_decode_without_mono_pair () =
+  let doc =
+    parse_dump
+      "{\"schema\":\"sepsat-flight-1\",\"pid\":7,\"dumped_at\":50.5,\
+       \"records\":[{\"ts\":50.25,\"tid\":1,\"kind\":\"span\",\
+       \"name\":\"old\",\"rid\":\"rq-old\",\"dur_ms\":3}]}"
+  in
+  let src = Flight.source_of_json ~label:"old" doc in
+  Alcotest.(check (float 0.)) "wall from dumped_at" 50.5 src.Flight.src_wall;
+  Alcotest.(check (float 0.)) "mono falls back to wall" 50.5
+    src.Flight.src_mono;
+  match src.Flight.src_records with
+  | [ r ] ->
+    Alcotest.(check (float 0.)) "record mono falls back to ts" 50.25
+      r.Flight.fr_mono;
+    Alcotest.(check bool) "kind decoded" true (r.Flight.fr_kind = Flight.Span);
+    Alcotest.(check string) "rid" "rq-old" r.Flight.fr_rid;
+    Alcotest.(check (float 0.)) "duration" 3. r.Flight.fr_dur_ms;
+    Alcotest.(check (list (pair string string))) "no data" []
+      r.Flight.fr_data
+  | rs ->
+    Alcotest.fail
+      (Printf.sprintf "expected 1 record, got %d" (List.length rs))
 
 (* -- Concurrency ----------------------------------------------------------- *)
 
@@ -410,7 +437,7 @@ let prop_concurrent_no_torn_records =
       let ok = ref true in
       for _ = 1 to 20 do
         ok := !ok && List.for_all consistent (Flight.records ());
-        ok := !ok && (match Json.parse (Flight.to_json ()) with
+        ok := !ok && (match Json.parse (dump_text ()) with
                      | Ok _ -> true
                      | Error _ -> false)
       done;
@@ -439,7 +466,7 @@ let prop_dump_under_load_valid =
       in
       let ok = ref true in
       for _ = 1 to 10 do
-        match Json.parse (Flight.to_json ()) with
+        match Json.parse (dump_text ()) with
         | Error _ -> ok := false
         | Ok j ->
           ok :=
@@ -497,6 +524,10 @@ let () =
             test_assemble_rid_filter;
           Alcotest.test_case "live dump decodes and assembles" `Quick
             test_assemble_from_live_dump;
+          Alcotest.test_case "dump decodes back exactly" `Quick
+            test_dump_decode_exact;
+          Alcotest.test_case "dump without the mono pair decodes" `Quick
+            test_decode_without_mono_pair;
         ] );
       ( "concurrency",
         [

@@ -22,144 +22,23 @@ let fresh ?capacity () =
   Progress.set_callback None;
   Obs.enable ?capacity ()
 
-(* -- A minimal JSON reader, just enough to validate exporter output ------- *)
+(* -- Strict JSON reading with raising accessors ------------------------------ *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+module Json = Sepsat_util.Json
 
-  exception Bad of string
+let parse s =
+  match Json.parse s with Ok j -> j | Error e -> Alcotest.fail e
 
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else '\255' in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () <> c then
-        raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-      advance ()
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            (* skip the four hex digits; the tests compare ASCII names only *)
-            advance ();
-            advance ();
-            advance ();
-            Buffer.add_char buf '?'
-          | c -> Buffer.add_char buf c);
-          advance ();
-          go ()
-        | '\255' -> raise (Bad "eof in string")
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then (
-              advance ();
-              members ((k, v) :: acc))
-            else (
-              expect '}';
-              List.rev ((k, v) :: acc))
-          in
-          Obj (members [])
-      | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          Arr [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then (
-              advance ();
-              elements (v :: acc))
-            else (
-              expect ']';
-              List.rev (v :: acc))
-          in
-          Arr (elements [])
-      | '"' -> Str (string_lit ())
-      | 't' ->
-        pos := !pos + 4;
-        Bool true
-      | 'f' ->
-        pos := !pos + 5;
-        Bool false
-      | 'n' ->
-        pos := !pos + 4;
-        Null
-      | _ ->
-        let start = !pos in
-        let num_char c =
-          match c with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        in
-        while num_char (peek ()) do
-          advance ()
-        done;
-        if !pos = start then raise (Bad (Printf.sprintf "junk at %d" start));
-        Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
+let member k j =
+  match Json.member k j with
+  | Some v -> v
+  | None -> Alcotest.fail ("no member " ^ k)
 
-  let member k = function
-    | Obj kvs -> List.assoc k kvs
-    | _ -> raise (Bad ("not an object at " ^ k))
+let str = function Json.Str s -> s | _ -> Alcotest.fail "not a string"
 
-  let str = function Str s -> s | _ -> raise (Bad "not a string")
+let num = function Json.Num f -> f | _ -> Alcotest.fail "not a number"
 
-  let num = function Num f -> f | _ -> raise (Bad "not a number")
-end
+let metrics_text () = Json.to_string (Metrics.to_json ())
 
 (* -- Disabled mode -------------------------------------------------------- *)
 
@@ -324,27 +203,27 @@ let collect_some_events () =
 
 let test_chrome_valid_json () =
   let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
-  let trace = Json.member "traceEvents" json in
+  let json = parse (Chrome_trace.to_string evs) in
+  let trace = member "traceEvents" json in
   match trace with
   | Json.Arr items ->
     Alcotest.(check bool) "non-empty" true (items <> []);
     List.iter
       (fun item ->
-        let ph = Json.str (Json.member "ph" item) in
+        let ph = str (member "ph" item) in
         Alcotest.(check bool) "known phase" true
           (List.mem ph [ "B"; "E"; "i"; "C"; "M" ]);
         if ph <> "M" then
           Alcotest.(check bool) "ts non-negative" true
-            (Json.num (Json.member "ts" item) >= 0.))
+            (num (member "ts" item) >= 0.))
       items
   | _ -> Alcotest.fail "traceEvents is not an array"
 
 let test_chrome_matched_begin_end () =
   let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
+  let json = parse (Chrome_trace.to_string evs) in
   let items =
-    match Json.member "traceEvents" json with
+    match member "traceEvents" json with
     | Json.Arr items -> items
     | _ -> Alcotest.fail "traceEvents is not an array"
   in
@@ -362,21 +241,21 @@ let test_chrome_matched_begin_end () =
   in
   List.iter
     (fun item ->
-      match Json.str (Json.member "ph" item) with
+      match str (member "ph" item) with
       | "B" | "E" as ph ->
-        let tid = int_of_float (Json.num (Json.member "tid" item)) in
-        let ts = Json.num (Json.member "ts" item) in
+        let tid = int_of_float (num (member "tid" item)) in
+        let ts = num (member "ts" item) in
         let lt = get last_ts tid 0. in
         Alcotest.(check bool) "timestamps non-decreasing" true (ts >= !lt);
         lt := ts;
         let stack = get stacks tid [] in
         if ph = "B" then
-          stack := Json.str (Json.member "name" item) :: !stack
+          stack := str (member "name" item) :: !stack
         else begin
           match !stack with
           | top :: rest ->
             Alcotest.(check string) "E matches innermost B" top
-              (Json.str (Json.member "name" item));
+              (str (member "name" item));
             stack := rest
           | [] -> Alcotest.fail "E without open B"
         end
@@ -389,9 +268,9 @@ let test_chrome_matched_begin_end () =
 
 let test_chrome_thread_names () =
   let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
+  let json = parse (Chrome_trace.to_string evs) in
   let items =
-    match Json.member "traceEvents" json with
+    match member "traceEvents" json with
     | Json.Arr items -> items
     | _ -> []
   in
@@ -399,9 +278,9 @@ let test_chrome_thread_names () =
     List.filter_map
       (fun item ->
         if
-          Json.str (Json.member "ph" item) = "M"
-          && Json.str (Json.member "name" item) = "thread_name"
-        then Some (Json.str (Json.member "name" (Json.member "args" item)))
+          str (member "ph" item) = "M"
+          && str (member "name" item) = "thread_name"
+        then Some (str (member "name" (member "args" item)))
         else None)
       items
   in
@@ -468,9 +347,9 @@ let test_chrome_rid_args () =
   Trace_ctx.with_rid "rq-chrome" (fun () ->
       Obs.span ~cat:"serve" "req" (fun () -> Obs.instant "req.mark"));
   Obs.span "plain" (fun () -> ());
-  let json = Json.parse (Chrome_trace.to_string (Obs.events ())) in
+  let json = parse (Chrome_trace.to_string (Obs.events ())) in
   let items =
-    match Json.member "traceEvents" json with
+    match member "traceEvents" json with
     | Json.Arr items -> items
     | _ -> Alcotest.fail "traceEvents is not an array"
   in
@@ -478,12 +357,12 @@ let test_chrome_rid_args () =
     List.find_map
       (fun item ->
         if
-          Json.str (Json.member "ph" item) = ph
-          && Json.str (Json.member "name" item) = name
+          str (member "ph" item) = ph
+          && str (member "name" item) = name
         then
           match Json.member "args" item with
-          | args -> Some (Json.str (Json.member "rid" args))
-          | exception Not_found -> Some "<no args>"
+          | Some args -> Some (str (member "rid" args))
+          | None -> Some "<no args>"
         else None)
       items
   in
@@ -531,23 +410,23 @@ let test_metrics_json () =
   Metrics.add (Metrics.counter "j.c") 3;
   Metrics.set (Metrics.gauge "j.g") 1.5;
   Metrics.observe (Metrics.histogram "j.h") 0.01;
-  let json = Json.parse (Metrics.to_json ()) in
-  Alcotest.(check (float 1e-9)) "counter" 3. (Json.num (Json.member "j.c" json));
-  Alcotest.(check (float 1e-9)) "gauge" 1.5 (Json.num (Json.member "j.g" json));
-  let h = Json.member "j.h" json in
-  Alcotest.(check (float 1e-9)) "hist count" 1. (Json.num (Json.member "count" h));
+  let json = parse (metrics_text ()) in
+  Alcotest.(check (float 1e-9)) "counter" 3. (num (member "j.c" json));
+  Alcotest.(check (float 1e-9)) "gauge" 1.5 (num (member "j.g" json));
+  let h = member "j.h" json in
+  Alcotest.(check (float 1e-9)) "hist count" 1. (num (member "count" h));
   Obs.disable ();
   Obs.reset ();
   Metrics.reset ();
   Alcotest.(check string) "empty registry after reset keeps shape" "{"
-    (String.sub (Metrics.to_json ()) 0 1)
+    (String.sub (metrics_text ()) 0 1)
 
 let test_metrics_json_strict () =
   fresh ();
   let h = Metrics.histogram "strict.h" in
   Metrics.observe h 1e-6;
   Metrics.observe h 1e9;  (* lands in the +inf bin *)
-  let text = Metrics.to_json () in
+  let text = metrics_text () in
   (* The old non-finite encoding must be gone entirely... *)
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -557,17 +436,17 @@ let test_metrics_json_strict () =
   Alcotest.(check bool) "no 1e999 lexeme" false (contains text "1e999");
   (* ...and a strict parser must accept the document with finite bounds
      only; the +inf bin is implicit (count - listed bins). *)
-  let j = Json.parse text in
-  (match Json.member "strict.h" j with
+  let j = parse text in
+  (match member "strict.h" j with
   | Json.Obj _ as hj ->
-    let count = int_of_float (Json.num (Json.member "count" hj)) in
+    let count = int_of_float (num (member "count" hj)) in
     Alcotest.(check int) "count sees both" 2 count;
-    (match Json.member "buckets" hj with
+    (match member "buckets" hj with
     | Json.Arr pairs ->
       let listed =
         List.map
           (function
-            | Json.Arr [ ub; n ] -> (Json.num ub, int_of_float (Json.num n))
+            | Json.Arr [ ub; n ] -> (num ub, int_of_float (num n))
             | _ -> Alcotest.fail "bucket pair shape")
           pairs
       in
@@ -641,14 +520,14 @@ let test_metrics_json_exemplars () =
   let h = Metrics.histogram ~buckets:[| 1.0 |] "exj.h" in
   Metrics.observe h 0.5;
   Alcotest.(check bool) "no exemplars key without exemplars" false
-    (contains (Metrics.to_json ()) "exemplars");
+    (contains (metrics_text ()) "exemplars");
   Metrics.observe ~rid:"rq-j" h 0.7;
-  let j = Json.parse (Metrics.to_json ()) in
-  (match Json.member "exemplars" (Json.member "exj.h" j) with
+  let j = parse (metrics_text ()) in
+  (match member "exemplars" (member "exj.h" j) with
   | Json.Arr [ e ] ->
-    Alcotest.(check string) "rid" "rq-j" (Json.str (Json.member "rid" e));
+    Alcotest.(check string) "rid" "rq-j" (str (member "rid" e));
     Alcotest.(check (float 1e-9)) "value" 0.7
-      (Json.num (Json.member "value" e))
+      (num (member "value" e))
   | _ -> Alcotest.fail "exemplars shape")
 
 (* A reader racing [reset] against concurrent [observe]s must never see a
@@ -858,18 +737,18 @@ let test_log_event_shape () =
           ("b", Log.B true); ("nf", Log.F infinity) ];
       match !lines with
       | [ line ] ->
-        let j = Json.parse line in
+        let j = parse line in
         Alcotest.(check string) "event" "unit.test"
-          (Json.str (Json.member "event" j));
+          (str (member "event" j));
         Alcotest.(check string) "level" "info"
-          (Json.str (Json.member "level" j));
+          (str (member "level" j));
         Alcotest.(check bool) "ts present" true
-          (Json.num (Json.member "ts" j) > 0.);
+          (num (member "ts" j) > 0.);
         Alcotest.(check string) "escaped string" "a\"b"
-          (Json.str (Json.member "s" j));
-        Alcotest.(check (float 1e-9)) "int" 42. (Json.num (Json.member "i" j));
+          (str (member "s" j));
+        Alcotest.(check (float 1e-9)) "int" 42. (num (member "i" j));
         Alcotest.(check bool) "non-finite is null" true
-          (Json.member "nf" j = Json.Null)
+          (member "nf" j = Json.Null)
       | ls -> Alcotest.fail (Printf.sprintf "expected 1 line, got %d" (List.length ls)))
 
 let test_log_ambient_fields () =
@@ -886,10 +765,10 @@ let test_log_ambient_fields () =
       match List.rev !lines with
       | [ inner; shadow; outside ] ->
         Alcotest.(check string) "ambient rid" "rq-test"
-          (Json.str (Json.member "rid" (Json.parse inner)));
+          (str (member "rid" (parse inner)));
         Alcotest.(check string) "explicit shadows ambient" "explicit"
-          (Json.str (Json.member "rid" (Json.parse shadow)));
-        (match Json.parse outside with
+          (str (member "rid" (parse shadow)));
+        (match parse outside with
         | Json.Obj kvs ->
           Alcotest.(check bool) "context restored after exception" false
             (List.mem_assoc "rid" kvs)
@@ -912,11 +791,11 @@ let test_log_sink_raises () =
       | [ line ] ->
         (* The failed event must not leak half-formatted bytes into this
            one: the line parses and is the second event alone. *)
-        let j = Json.parse line in
+        let j = parse line in
         Alcotest.(check string) "second event intact" "kept"
-          (Json.str (Json.member "event" j));
+          (str (member "event" j));
         Alcotest.(check (float 1e-9)) "field" 2.
-          (Json.num (Json.member "k" j))
+          (num (member "k" j))
       | ls -> Alcotest.fail (Printf.sprintf "expected 1 line, got %d" (List.length ls)))
 
 let test_log_disabled_and_levels () =

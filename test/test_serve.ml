@@ -3,7 +3,7 @@
    (caching correctness against a fresh [Decide.decide], shedding,
    deadlines) and the socket/channel protocol front ends. *)
 
-module Json = Sepsat_serve.Json
+module Json = Sepsat_util.Json
 module Protocol = Sepsat_serve.Protocol
 module Bqueue = Sepsat_serve.Bqueue
 module Cache = Sepsat_serve.Cache
@@ -90,6 +90,34 @@ let test_json_parse () =
   Alcotest.(check bool) "empty input" true (err "");
   Alcotest.(check bool) "integral floats as ints" true
     (Json.to_string (Json.Num 42.) = "42")
+
+let deep_array depth = String.make depth '[' ^ String.make depth ']'
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let too_deep = Printf.sprintf "nesting deeper than %d" Json.max_depth
+
+(* Nesting past [Json.max_depth] is refused, not recursed into: a
+   well-formed but hostile document must not exhaust the stack. *)
+let test_json_depth_bound () =
+  let refused text =
+    match Json.parse text with Error e -> contains e too_deep | Ok _ -> false
+  in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (Json.parse (deep_array Json.max_depth)));
+  Alcotest.(check bool) "one level more is refused" true
+    (refused (deep_array (Json.max_depth + 1)));
+  Alcotest.(check bool) "10,000 levels are refused" true
+    (refused (deep_array 10_000));
+  Alcotest.(check bool) "objects count too" true
+    (refused
+       (String.concat "" (List.init 200 (fun _ -> "{\"a\":"))
+       ^ "1" ^ String.make 200 '}'))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -641,6 +669,7 @@ let test_serve_channels () =
              });
         "this is not json";
         "";
+        deep_array 10_000;
         Protocol.request_to_line (Protocol.Stats_req "st");
         Protocol.request_to_line (Protocol.Shutdown "q");
       ]
@@ -695,6 +724,12 @@ let test_serve_channels () =
   | _ -> Alcotest.fail "no bye");
   Alcotest.(check bool) "malformed line got an error reply" true
     (List.exists (function Protocol.Error _ -> true | _ -> false) replies);
+  (* the deep line is answered with its own error, and "st" and "q" after
+     it were answered above *)
+  Alcotest.(check bool) "deep line got a depth error reply" true
+    (List.exists
+       (function Protocol.Error (_, e) -> contains e too_deep | _ -> false)
+       replies);
   Sys.remove in_path;
   Sys.remove out_path
 
@@ -982,6 +1017,84 @@ let test_engine_log_correlation () =
         List.iter (Alcotest.(check string) (id ^ " single rid") rid) rest)
     ids
 
+(* A rid adopted from a client's wire trace context may hold any bytes.
+   Every JSON writer it reaches must escape it so that a strict parser
+   gives it back byte for byte: a quote, a control byte and UTF-8. *)
+let test_hostile_rid_every_writer () =
+  let module Flight = Sepsat_obs.Flight in
+  let hostile = "a\"b\001\xc3\xa9" and text = "(= (g hz) (g hz))" in
+  let lines = ref [] in
+  let mu = Mutex.create () in
+  Obs.disable ();
+  Metrics.reset ();
+  Flight.reset ();
+  Log.enable
+    ~sink:(fun l -> Mutex.protect mu (fun () -> lines := l :: !lines))
+    ();
+  let engine = Engine.create ~workers:1 () in
+  (* The exemplar would otherwise outlive this test: exemplars keep the
+     slowest observation per bucket until a reset. *)
+  let outcome, stats, metrics =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.shutdown engine;
+        Log.disable ();
+        Metrics.reset ())
+      (fun () ->
+        let line =
+          Protocol.request_to_line
+            (Protocol.Solve
+               {
+                 Protocol.sq_id = "hostile";
+                 sq_lang = Protocol.Suf;
+                 sq_text = text;
+                 sq_method = Decide.Hybrid_default;
+                 sq_timeout_s = None;
+                 sq_trace = Some { Protocol.tc_rid = hostile; tc_path = [] };
+               })
+        in
+        let rid =
+          match Protocol.request_of_line line with
+          | Ok (Protocol.Solve { Protocol.sq_trace = Some tc; _ }) ->
+            tc.Protocol.tc_rid
+          | _ -> Alcotest.fail "traced solve did not round-trip"
+        in
+        let o = Engine.solve ~block:true engine (Engine.job ~rid text) in
+        (o, Engine.stats_json engine, Metrics.to_json ()))
+  in
+  let strict what text =
+    match Json.parse text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s is not strict JSON: %s" what e
+  in
+  let rid_found what docs =
+    Alcotest.(check bool) (what ^ " gives the rid back") true
+      (List.exists (fun j -> Json.mem_str "rid" j = Some hostile) docs)
+  in
+  let arr = function Some (Json.Arr l) -> l | _ -> [] in
+  (match outcome with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "the hostile-rid job was not solved");
+  rid_found "the log stream" (List.map (strict "a log line") !lines);
+  let dump = strict "the flight dump" (Json.to_string (Flight.to_json ())) in
+  rid_found "the flight dump" (arr (Json.member "records" dump));
+  let trace =
+    strict "the assembled trace"
+      (Flight.assemble ~rid:hostile [ Flight.source_of_json ~label:"s" dump ])
+  in
+  rid_found "the assembled trace"
+    (List.filter_map (Json.member "args")
+       (arr (Json.member "traceEvents" trace)));
+  let metrics = strict "the metrics snapshot" (Json.to_string metrics) in
+  rid_found "the metrics exemplars"
+    (arr
+       (Option.bind (Json.member "serve.request_s" metrics)
+          (Json.member "exemplars")));
+  let stats = strict "the stats reply" (Json.to_string stats) in
+  rid_found "the stats exemplars" (arr (Json.member "exemplars" stats));
+  Alcotest.(check (option string)) "the stats p99 rid" (Some hostile)
+    (Option.bind (Json.member "latency_ms" stats) (Json.mem_str "p99_rid"))
+
 let test_serve_channels_metrics_op () =
   let requests =
     String.concat "\n"
@@ -1161,11 +1274,6 @@ let test_serve_metrics_http () =
       Thread.join th)
     (fun () ->
       let resp = scrape "/metrics" in
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "200" true (contains resp "HTTP/1.0 200 OK");
       Alcotest.(check bool) "prometheus content type" true
         (contains resp "Content-Type: text/plain; version=0.0.4");
@@ -1216,6 +1324,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse" `Quick test_json_parse;
+          Alcotest.test_case "nesting depth bound" `Quick
+            test_json_depth_bound;
         ] );
       ( "protocol",
         [
@@ -1259,6 +1369,8 @@ let () =
             test_engine_metrics_always_on;
           Alcotest.test_case "stats rolling quantiles" `Quick
             test_engine_stats_quantiles;
+          Alcotest.test_case "hostile rid survives every JSON writer" `Quick
+            test_hostile_rid_every_writer;
           Alcotest.test_case "logs correlate every request" `Quick
             test_engine_log_correlation;
           Alcotest.test_case "spans carry the request rid" `Quick
