@@ -402,35 +402,19 @@ let cnf_cmd =
       Format.eprintf "parse error: %s@." msg;
       exit 2
     | formula -> (
-      let config =
-        match method_ with
-        | Decide.Sd -> Sepsat_encode.Hybrid.sd_only
-        | Decide.Eij -> Sepsat_encode.Hybrid.eij_only
-        | Decide.Hybrid_default -> Sepsat_encode.Hybrid.default
-        | Decide.Hybrid_at t -> Sepsat_encode.Hybrid.hybrid ~threshold:t ()
-        | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio ->
-          Format.eprintf "cnf export requires a single eager method@.";
-          exit 2
-      in
-      let elim = Decide.eliminate ctx formula in
-      match
-        Sepsat_encode.Hybrid.encode ~config ctx
-          ~p_consts:elim.Sepsat_suf.Elim.p_consts elim.Sepsat_suf.Elim.formula
-      with
-      | exception Sepsat_encode.Hybrid.Translation_blowup ->
-        Format.eprintf "translation blowup@.";
-        exit 3
-      | encoded ->
-        let solver = Sepsat_sat.Solver.create () in
-        let ts = Sepsat_prop.Tseitin.create solver in
-        Sepsat_prop.Tseitin.assert_root ts
-          (Sepsat_prop.Formula.not_ encoded.Sepsat_encode.Hybrid.prop_ctx
-             encoded.Sepsat_encode.Hybrid.f_bool);
-        let nvars, clauses = Sepsat_sat.Solver.export_cnf solver in
-        Format.printf "c negation of the validity query of %s@." file;
-        Format.printf "c the formula is valid iff this instance is unsat@.";
-        Format.printf "%a" Sepsat_sat.Dimacs.print
-          { Sepsat_sat.Dimacs.nvars; clauses })
+      match method_ with
+      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio ->
+        Format.eprintf "cnf export requires a single eager method@.";
+        exit 2
+      | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _ -> (
+        match Decide.cnf ~method_ ctx formula with
+        | exception Sepsat_encode.Hybrid.Translation_blowup ->
+          Format.eprintf "translation blowup@.";
+          exit 3
+        | cnf ->
+          Format.printf "c negation of the validity query of %s@." file;
+          Format.printf "c the formula is valid iff this instance is unsat@.";
+          Format.printf "%a" Sepsat_sat.Dimacs.print cnf))
   in
   Cmd.v
     (Cmd.info "cnf"

@@ -77,6 +77,18 @@ let eager_config = function
   | Svc_baseline | Lazy_baseline | Portfolio ->
     invalid_arg "Decide.eager_config: not an eager method"
 
+let cnf ~method_ ctx formula =
+  let config = eager_config method_ in
+  let elim = eliminate ctx formula in
+  let encoded =
+    Hybrid.encode ~config ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula
+  in
+  let solver = Solver.create () in
+  Tseitin.assert_root (Tseitin.create solver)
+    (F.not_ encoded.Hybrid.prop_ctx encoded.Hybrid.f_bool);
+  let nvars, clauses = Solver.export_cnf solver in
+  { Sepsat_sat.Dimacs.nvars; clauses }
+
 (* Process-wide default for SatELite-style pre/inprocessing in every
    procedure that bottoms out in [Solver]. A mutable default rather than a
    parameter threaded through every call chain, so the bench harness and the

@@ -96,6 +96,13 @@ val eliminate : Ast.ctx -> Ast.formula -> Sepsat_suf.Elim.result
     fresh constant names from the context; to lift a countermodel of a
     {!decide} run, use the [elim] field of its result. *)
 
+val cnf : method_:method_ -> Ast.ctx -> Ast.formula -> Sepsat_sat.Dimacs.cnf
+(** The CNF of the negated validity query under an eager method (the input
+    is valid iff it is unsatisfiable) after Polarity Tseitin: what
+    [sufdec cnf] prints.
+    @raise Invalid_argument for a method that is not eager.
+    @raise Sepsat_encode.Hybrid.Translation_blowup as {!Sepsat_encode.Hybrid.encode}. *)
+
 val valid : ?method_:method_ -> Ast.ctx -> Ast.formula -> bool
 (** Convenience wrapper. @raise Failure on an [Unknown] verdict. *)
 

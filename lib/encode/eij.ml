@@ -1,6 +1,8 @@
 module F = Sepsat_prop.Formula
 module Bound = Sepsat_sep.Bound
 module Ground = Sepsat_sep.Ground
+module Vec = Sepsat_util.Vec
+module Union_find = Sepsat_util.Union_find
 
 exception Translation_blowup
 
@@ -46,18 +48,42 @@ let num_trans_constraints t = t.n_trans
 
 (* -- Transitivity constraints by vertex elimination ----------------------- *)
 
-(* An edge (u, v, w, lit) asserts u − v <= w whenever lit holds. Each
-   predicate variable contributes the edge of its bound and the reverse
-   strict edge of its negation. [lit] is a formula-level literal in the
+(* An edge asserts src − dst <= weight whenever lit holds. Each predicate
+   variable contributes the edge of its bound and the reverse strict edge of
+   its negation. Vertices are the constants of [t.originals], interned to
+   dense ids once per call; [lit] is a formula-level literal in the
    [F.Clauses] packing: [2*i] for variable [i], [2*i+1] for its negation. *)
 
-type edge = { src : string; dst : string; weight : int; lit : int }
-(* src − dst <= weight *)
+type edge = { src : int; dst : int; weight : int; lit : int }
+
+module Edge_tbl = Hashtbl.Make (struct
+  type t = int * int * int (* src, dst, weight *)
+
+  let equal ((a : int), (b : int), (c : int)) (a', b', c') =
+    a = a' && b = b' && c = c'
+
+  let hash = Hashtbl.hash
+end)
 
 let pos_lit v = 2 * F.var_index v
 
 let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
   let pctx = t.pctx in
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let intern s =
+    match Hashtbl.find_opt ids s with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids s i;
+      i
+  in
+  let originals =
+    List.map
+      (fun ((b : Bound.t), v) -> (b, intern b.Bound.x, intern b.Bound.y, pos_lit v))
+      t.originals
+  in
+  let n = Hashtbl.length ids in
   (* Weight window, per connected component. Every edge arising during
      elimination stands for a simple path of original edges, so its weight is
      at most S+ (the component's sum of positive original weights) and at
@@ -71,82 +97,68 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
      derived weights to {0,-1}, keeping F_trans near the Bryant-Velev
      polynomial bound; components with long offset chains still blow up — as
      the paper observes they must. *)
-  let comp_of, s_plus, s_minus =
-    let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-    let rec find v =
-      match Hashtbl.find_opt parent v with
-      | None | Some "" -> v
-      | Some p ->
-        let r = find p in
-        Hashtbl.replace parent v r;
-        r
-    in
-    let union u v =
-      let ru = find u and rv = find v in
-      if ru <> rv then Hashtbl.replace parent ru rv
-    in
-    List.iter
-      (fun ((b : Bound.t), _) -> union b.Bound.x b.Bound.y)
-      t.originals;
-    let s_plus : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let s_minus : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let bump tbl rep d =
-      let cur = try Hashtbl.find tbl rep with Not_found -> 0 in
-      Hashtbl.replace tbl rep (cur + d)
-    in
-    List.iter
-      (fun ((b : Bound.t), _) ->
-        let rep = find b.Bound.x in
-        (* both orientations of the bound: weights c and -c-1 *)
-        List.iter
-          (fun w ->
-            bump s_plus rep (max 0 w);
-            bump s_minus rep (max 0 (-w)))
-          [ b.Bound.c; -b.Bound.c - 1 ])
-      t.originals;
-    let get tbl rep = try Hashtbl.find tbl rep with Not_found -> 0 in
-    (find, get s_plus, get s_minus)
-  in
-  let floor_of v = -s_plus (comp_of v) - 1 in
-  let normalize_weight v w =
-    let f = floor_of v in
-    if w < f then f else w
-  in
-  let useless v w = w >= s_minus (comp_of v) in
-  (* Adjacency: per live vertex, edges leaving it (src = vertex) and entering
-     it (dst = vertex). *)
-  let out_edges : (string, edge list ref) Hashtbl.t = Hashtbl.create 64 in
-  let in_edges : (string, edge list ref) Hashtbl.t = Hashtbl.create 64 in
-  let vertices = Hashtbl.create 64 in
-  let adj tbl v =
-    match Hashtbl.find_opt tbl v with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.add tbl v r;
-      r
-  in
-  let add_edge e =
-    Hashtbl.replace vertices e.src ();
-    Hashtbl.replace vertices e.dst ();
-    adj out_edges e.src := e :: !(adj out_edges e.src);
-    adj in_edges e.dst := e :: !(adj in_edges e.dst)
-  in
+  let uf = Union_find.create n in
+  List.iter (fun (_, x, y, _) -> Union_find.union uf x y) originals;
+  let s_plus = Array.make n 0 and s_minus = Array.make n 0 in
   List.iter
-    (fun ((b : Bound.t), v) ->
-      let install src dst weight lit =
-        if not (useless src weight) then
-          add_edge { src; dst; weight = normalize_weight src weight; lit }
+    (fun ((b : Bound.t), x, _, _) ->
+      let r = Union_find.find uf x in
+      (* both orientations of the bound: weights c and -c-1 *)
+      List.iter
+        (fun w ->
+          s_plus.(r) <- s_plus.(r) + max 0 w;
+          s_minus.(r) <- s_minus.(r) + max 0 (-w))
+        [ b.Bound.c; -b.Bound.c - 1 ])
+    originals;
+  let comp v = Union_find.find uf v in
+  let floor = Array.init n (fun v -> -s_plus.(comp v) - 1) in
+  let cap = Array.init n (fun v -> s_minus.(comp v)) in
+  let useless u w = w >= cap.(u) in
+  let normalize u w = if w < floor.(u) then floor.(u) else w in
+  (* One literal per (src, dst, weight), seeded with both orientations of
+     every original predicate. A derived bound that hits an entry reuses its
+     literal (an original's truth is then further constrained, which is sound
+     and sharpens the encoding); a miss gets a fresh variable and an edge. *)
+  let lits = Edge_tbl.create 256 in
+  List.iter
+    (fun ((b : Bound.t), x, y, lit) ->
+      Edge_tbl.add lits (x, y, b.Bound.c) lit;
+      Edge_tbl.add lits (y, x, -b.Bound.c - 1) (lit lxor 1))
+    originals;
+  (* Adjacency: per vertex, every edge ever added leaving it and entering
+     it, oldest first. An edge is live while its other end is not [dead];
+     the degree counters count live edges only. *)
+  let dummy = { src = 0; dst = 0; weight = 0; lit = 0 } in
+  let out_e = Array.init n (fun _ -> Vec.create ~dummy) in
+  let in_e = Array.init n (fun _ -> Vec.create ~dummy) in
+  let out_deg = Array.make n 0 and in_deg = Array.make n 0 in
+  let dead = Array.make n false in
+  let add_edge e =
+    Vec.push out_e.(e.src) e;
+    Vec.push in_e.(e.dst) e;
+    out_deg.(e.src) <- out_deg.(e.src) + 1;
+    in_deg.(e.dst) <- in_deg.(e.dst) + 1
+  in
+  (* Tie-break order: the iteration order of a non-randomized string table
+     filled with the vertices in installation order. Vertices only leave it
+     after installation, and [Hashtbl.remove] neither reorders nor shrinks,
+     so one snapshot of that order stays exact for the whole elimination. *)
+  let order_tbl : (string, int) Hashtbl.t = Hashtbl.create ~random:false 64 in
+  List.iter
+    (fun ((b : Bound.t), x, y, lit) ->
+      let install (sname, src) (dname, dst) weight lit =
+        if not (useless src weight) then begin
+          Hashtbl.replace order_tbl sname src;
+          Hashtbl.replace order_tbl dname dst;
+          add_edge { src; dst; weight = normalize src weight; lit }
+        end
       in
-      let lit = pos_lit v in
-      install b.Bound.x b.Bound.y b.Bound.c lit;
-      install b.Bound.y b.Bound.x (-b.Bound.c - 1) (lit lxor 1))
-    t.originals;
-  (* Derived-edge variables are deduplicated on (src, dst, weight); a
-     canonical bound that already has a predicate variable is reused (its
-     truth is then further constrained, which is sound and sharpens the
-     encoding). *)
-  let derived : (string * string * int, int) Hashtbl.t = Hashtbl.create 256 in
+      install (b.Bound.x, x) (b.Bound.y, y) b.Bound.c lit;
+      install (b.Bound.y, y) (b.Bound.x, x) (-b.Bound.c - 1) (lit lxor 1))
+    originals;
+  let order =
+    Array.of_list (List.rev (Hashtbl.fold (fun _ v acc -> v :: acc) order_tbl []))
+  in
   let constraints = ref [] in
   t.n_trans <- 0;
   let emit c =
@@ -163,91 +175,63 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
       Sepsat_obs.Obs.sample "eij.trans_constraints" (float_of_int t.n_trans)
     end
   in
-  let lit_for_derived src dst weight =
-    match Hashtbl.find_opt derived (src, dst, weight) with
-    | Some lit -> (lit, false)
-    | None ->
-      let view = Bound.view ~x:src ~y:dst ~c:weight in
-      let lit, needs_edge =
-        match Bound_map.find_opt view.Bound.bound t.evars with
-        | Some v ->
-          (* An original predicate variable already carries this bound (and
-             its graph edges, installed up front). *)
-          let l = pos_lit v in
-          ((if view.Bound.negated then l lxor 1 else l), false)
-        | None -> (pos_lit (F.fresh_var pctx), true)
-      in
-      Hashtbl.add derived (src, dst, weight) lit;
-      (lit, needs_edge)
+  (* Live edges of [vec], newest first, where [other] names the far end. *)
+  let live vec other =
+    Vec.fold (fun acc e -> if dead.(other e) then acc else e :: acc) [] vec
   in
   let eliminate v =
-    let incoming = !(adj in_edges v) and outgoing = !(adj out_edges v) in
-    Hashtbl.remove in_edges v;
-    Hashtbl.remove out_edges v;
-    Hashtbl.remove vertices v;
+    dead.(v) <- true;
+    let incoming = live in_e.(v) (fun e -> e.src) in
+    let outgoing = live out_e.(v) (fun e -> e.dst) in
     let new_edges = ref [] in
     List.iter
       (fun e1 ->
         (* e1: u − v <= w1 *)
-        if not (String.equal e1.src v) then
-          List.iter
-            (fun e2 ->
-              (* e2: v − z <= w2 *)
-              if not (String.equal e2.dst v) then begin
-                let u = e1.src and z = e2.dst in
-                let w = e1.weight + e2.weight in
-                if String.equal u z then begin
-                  (* A cycle through v: infeasible iff its weight is
-                     negative. *)
-                  if w < 0 then emit [| e1.lit lxor 1; e2.lit lxor 1 |]
-                end
-                else if not (useless u w) then begin
-                  let w = normalize_weight u w in
-                  let lit, fresh = lit_for_derived u z w in
-                  emit [| e1.lit lxor 1; e2.lit lxor 1; lit |];
-                  if fresh then
-                    new_edges := { src = u; dst = z; weight = w; lit } :: !new_edges
-                end
-              end)
-            outgoing)
+        List.iter
+          (fun e2 ->
+            (* e2: v − z <= w2 *)
+            let u = e1.src and z = e2.dst in
+            let w = e1.weight + e2.weight in
+            if u = z then begin
+              (* A cycle through v: infeasible iff its weight is negative. *)
+              if w < 0 then emit [| e1.lit lxor 1; e2.lit lxor 1 |]
+            end
+            else if not (useless u w) then begin
+              let w = normalize u w in
+              let lit =
+                match Edge_tbl.find_opt lits (u, z, w) with
+                | Some lit -> lit
+                | None ->
+                  let lit = pos_lit (F.fresh_var pctx) in
+                  Edge_tbl.add lits (u, z, w) lit;
+                  new_edges := { src = u; dst = z; weight = w; lit } :: !new_edges;
+                  lit
+              in
+              emit [| e1.lit lxor 1; e2.lit lxor 1; lit |]
+            end)
+          outgoing)
       incoming;
-    (* Drop edges incident to v from the neighbours' lists, then install the
-       derived edges. *)
-    let prune tbl key =
-      match Hashtbl.find_opt tbl key with
-      | None -> ()
-      | Some r ->
-        r :=
-          List.filter
-            (fun e -> not (String.equal e.src v || String.equal e.dst v))
-            !r
-    in
-    List.iter (fun e -> prune out_edges e.src) incoming;
-    List.iter (fun e -> prune in_edges e.dst) outgoing;
+    List.iter (fun e -> out_deg.(e.src) <- out_deg.(e.src) - 1) incoming;
+    List.iter (fun e -> in_deg.(e.dst) <- in_deg.(e.dst) - 1) outgoing;
     List.iter add_edge !new_edges
   in
-  (* Min-fill-style greedy order: repeatedly eliminate the vertex with the
-     smallest in*out product. *)
-  let rec loop () =
-    if Hashtbl.length vertices > 0 then begin
-      let best = ref None in
-      Hashtbl.iter
-        (fun v () ->
-          let cost =
-            List.length !(adj in_edges v) * List.length !(adj out_edges v)
-          in
-          match !best with
-          | Some (_, c) when c <= cost -> ()
-          | _ -> best := Some (v, cost))
-        vertices;
-      match !best with
-      | None -> ()
-      | Some (v, _) ->
-        eliminate v;
-        loop ()
-    end
-  in
-  loop ();
+  (* Min-fill-style greedy order: repeatedly eliminate the live vertex with
+     the smallest in*out product, the first in [order] on a tie. No heap:
+     at 200 vertices all the scans together take about 0.3 ms. *)
+  for _ = 1 to Array.length order do
+    let best = ref (-1) and best_cost = ref max_int in
+    Array.iter
+      (fun v ->
+        if not dead.(v) then begin
+          let cost = in_deg.(v) * out_deg.(v) in
+          if cost < !best_cost then begin
+            best := v;
+            best_cost := cost
+          end
+        end)
+      order;
+    eliminate !best
+  done;
   F.clauses pctx (Array.of_list (List.rev !constraints))
 
 let bounds t = t.originals

@@ -141,14 +141,8 @@ let test_eij_budget () =
    predicate variables satisfies F_trans iff the induced difference
    constraints are feasible. This exercises the vertex elimination together
    with its weight-clamping and edge-dropping reductions. *)
-let prop_eij_exact =
-  let gen =
-    QCheck2.Gen.(
-      list_size (int_range 1 7)
-        (triple (int_bound 3) (int_bound 3) (int_range (-3) 3)))
-  in
-  QCheck2.Test.make ~name:"F_trans characterizes realizability" ~count:200 gen
-    (fun bounds_spec ->
+let eij_exact ~name gen =
+  QCheck2.Test.make ~name ~count:200 gen (fun bounds_spec ->
       let bounds_spec =
         List.filter (fun (a, b, _) -> a <> b) bounds_spec
         |> List.sort_uniq compare
@@ -209,6 +203,52 @@ let prop_eij_exact =
         !ok
       end)
 
+let prop_eij_exact =
+  eij_exact ~name:"F_trans characterizes realizability"
+    QCheck2.Gen.(
+      list_size (int_range 1 7)
+        (triple (int_bound 3) (int_bound 3) (int_range (-3) 3)))
+
+(* Two disjoint components (constants n0-n3 and n4-n7) with wider weights:
+   each component gets its own S+/S- window, so clamping and dropping act
+   per component, and longer paths reuse derived edges. *)
+let prop_eij_exact_two_components =
+  let bound off =
+    QCheck2.Gen.(
+      map
+        (fun (a, d, c) -> (off + a, off + ((a + d) mod 4), c))
+        (triple (int_bound 3) (int_range 1 3) (int_range (-6) 6)))
+  in
+  eij_exact ~name:"F_trans exact on two components"
+    QCheck2.Gen.(
+      map2 ( @ )
+        (list_size (int_range 1 5) (bound 0))
+        (list_size (int_range 1 4) (bound 4)))
+
+(* Equalities over a triangle: every derived bound (weights clamp to
+   {0,-1}) is an original predicate, in one orientation or the other, so
+   elimination must reuse the originals' literals and allocate nothing. *)
+let test_eij_derived_reuse () =
+  let pctx = F.create_ctx () in
+  let eij = Eij.create pctx in
+  let is_p _ = false in
+  let eq x y = Eij.encode_eq eij ~is_p (Ground.make x 0) (Ground.make y 0) in
+  let ab = eq "a" "b" and bc = eq "b" "c" and ac = eq "a" "c" in
+  let nb_vars = F.nb_vars pctx in
+  let f_trans = Eij.trans_constraints eij in
+  Alcotest.(check int) "no fresh variables" nb_vars (F.nb_vars pctx);
+  Alcotest.(check bool) "constraints emitted" true
+    (Eij.num_trans_constraints eij > 0);
+  let sat lits =
+    let solver = Solver.create () in
+    Tseitin.assert_root (Tseitin.create solver) (F.and_list pctx (f_trans :: lits));
+    Solver.solve solver = Solver.Sat
+  in
+  Alcotest.(check bool) "a=b, b=c, a<>c blocked" false
+    (sat [ ab; bc; F.not_ pctx ac ]);
+  Alcotest.(check bool) "a=b, b<>c, a<>c allowed" true
+    (sat [ ab; F.not_ pctx bc; F.not_ pctx ac ])
+
 let encode_text ?(config = Hybrid.default) text =
   let ctx = Ast.create_ctx () in
   let f = Parse.formula ctx text in
@@ -256,7 +296,10 @@ let () =
           Alcotest.test_case "variable sharing" `Quick test_eij_sharing;
           Alcotest.test_case "triangle realizability" `Quick test_eij_triangle;
           Alcotest.test_case "budget" `Quick test_eij_budget;
+          Alcotest.test_case "derived bound reuses original" `Quick
+            test_eij_derived_reuse;
           QCheck_alcotest.to_alcotest prop_eij_exact;
+          QCheck_alcotest.to_alcotest prop_eij_exact_two_components;
         ] );
       ( "hybrid",
         [

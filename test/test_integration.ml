@@ -266,21 +266,33 @@ let test_regressions () =
     regression_cases
 
 (* Golden CNF shape: clause counts (Polarity and certified Full Tseitin),
-   transitivity constraints and F_bool DAG size for a few small suite
-   entries. The front end is deterministic, so any change to these numbers
-   is a change to the CNF and must update this table knowingly. *)
+   transitivity constraints, F_bool DAG size and, for the methods that run
+   vertex elimination, the digest of the DIMACS text [sufdec cnf] prints, for
+   a few small suite entries. The front end is deterministic, so any change
+   to these numbers is a change to the CNF and must update this table
+   knowingly. *)
 let golden_cnf =
   [
-    (* bench, method, cnf_clauses, certified cnf_clauses, trans, bool_size *)
-    ("pipe.3", Decide.Sd, 8699, 11470, 0, 4297);
-    ("pipe.3", Decide.Eij, 15129, 28139, 4366, 8647);
-    ("pipe.3", Decide.Hybrid_default, 7408, 15444, 2408, 4969);
-    ("cache.5", Decide.Sd, 3286, 5137, 0, 2129);
-    ("cache.5", Decide.Eij, 1957, 7016, 1518, 2257);
-    ("cache.5", Decide.Hybrid_default, 1957, 7016, 1518, 2257);
-    ("batch.0", Decide.Sd, 22683, 53230, 0, 19869);
-    ("batch.0", Decide.Eij, 22428, 77143, 21142, 24253);
-    ("batch.0", Decide.Hybrid_default, 22428, 77143, 21142, 24253);
+    (* bench, method, cnf_clauses, certified cnf_clauses, trans, bool_size,
+       DIMACS digest *)
+    ("pipe.3", Decide.Sd, 8699, 11470, 0, 4297, None);
+    ("pipe.3", Decide.Eij, 15129, 28139, 4366, 8647,
+     Some "035bb388372bc9998bd4698c8496b43d");
+    ("pipe.3", Decide.Hybrid_default, 7408, 15444, 2408, 4969,
+     Some "76cf78702545202eca64ace20f8c1397");
+    ("cache.5", Decide.Sd, 3286, 5137, 0, 2129, None);
+    ("cache.5", Decide.Eij, 1957, 7016, 1518, 2257,
+     Some "36a8d31d2b623feded8f8098fffe9451");
+    ("cache.5", Decide.Hybrid_default, 1957, 7016, 1518, 2257,
+     Some "36a8d31d2b623feded8f8098fffe9451");
+    ("batch.0", Decide.Sd, 22683, 53230, 0, 19869, None);
+    ("batch.0", Decide.Eij, 22428, 77143, 21142, 24253,
+     Some "6d3c1858326761ac2c87e33a7a4671c6");
+    ("batch.0", Decide.Hybrid_default, 22428, 77143, 21142, 24253,
+     Some "6d3c1858326761ac2c87e33a7a4671c6");
+    (* the largest elimination in the suite that completes *)
+    ("ooo.0", Decide.Hybrid_default, 199676, 754357, 198771, 199969,
+     Some "e3fea9ab69e0c9c531e53aee27f4b8b2");
   ]
 
 let cnf_shape name method_ =
@@ -295,15 +307,40 @@ let cnf_shape name method_ =
     (es.Sepsat_encode.Hybrid.trans_constraints, es.Sepsat_encode.Hybrid.bool_size)
   )
 
+let dimacs_digest name method_ =
+  let bench = Option.get (Suite.find name) in
+  let ctx = Ast.create_ctx () in
+  let cnf = Decide.cnf ~method_ ctx (bench.Suite.build ctx) in
+  Digest.to_hex
+    (Digest.string (Format.asprintf "%a" Sepsat_sat.Dimacs.print cnf))
+
+let check_digests () =
+  List.iter
+    (fun (name, m, _, _, _, _, digest) ->
+      Option.iter
+        (fun d ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: DIMACS digest" name (method_name m))
+            d (dimacs_digest name m))
+        digest)
+    golden_cnf
+
 let test_golden_cnf () =
   List.iter
-    (fun (name, m, clauses, certified, trans, size) ->
+    (fun (name, m, clauses, certified, trans, size, _) ->
       Alcotest.(check (pair (pair int int) (pair int int)))
         (Printf.sprintf "%s %s: clauses, certified clauses, trans, bool_size"
            name (method_name m))
         ((clauses, certified), (trans, size))
         (cnf_shape name m))
-    golden_cnf
+    golden_cnf;
+  check_digests ()
+
+(* The CNF must not depend on hash-table seeding (OCAMLRUNPARAM=R).
+   Randomization is process-wide and irreversible, so this case runs last. *)
+let test_golden_cnf_randomized () =
+  Hashtbl.randomize ();
+  check_digests ()
 
 let () =
   Alcotest.run "integration"
@@ -327,5 +364,7 @@ let () =
           Alcotest.test_case "parse and decide" `Quick test_parse_decide;
           Alcotest.test_case "regressions" `Quick test_regressions;
           Alcotest.test_case "golden cnf shape" `Quick test_golden_cnf;
+          Alcotest.test_case "golden cnf under randomized hashing" `Quick
+            test_golden_cnf_randomized;
         ] );
     ]
