@@ -1,12 +1,12 @@
 (* sufdec — command-line front end of the sepsat decision procedure.
 
-   sufdec solve FILE [--method M | --portfolio] [--timeout S] [--countermodel]
+   sufdec solve FILE [--method M] [--timeout S] [--countermodel]
                      [--certify]
    sufdec smt FILE [--method M] [--timeout S]      SMT-LIB 2 (QF_UFIDL subset)
    sufdec stats FILE
    sufdec cnf FILE [--method M]                    DIMACS export
    sufdec gen --family F --size N [--bug] [--seed K]
-   sufdec bench [--figure 2|3|threshold|4|5|6|portfolio|all] [--timeout S]
+   sufdec bench [--figure 2|3|threshold|4|5|6|hybrid|all] [--timeout S]
    sufdec list
    sufdec serve [--socket PATH] [--workers N] [--queue N] [--cache N]
                 [--flight-dir DIR]
@@ -61,8 +61,8 @@ let method_conv =
       Error
         (`Msg
           (Printf.sprintf
-             "unknown method %S (expected sd, eij, hybrid, hybrid:<n>, svc, \
-              lazy, portfolio)"
+             "unknown method %S (expected sd, eij, hybrid, hybrid:<n>, svc \
+              or lazy)"
              s))
   in
   let print ppf m = Decide.pp_method ppf m in
@@ -80,16 +80,7 @@ let method_arg =
     & opt method_conv Decide.Hybrid_default
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
-          "Decision method: sd, eij, hybrid, hybrid:N, svc, lazy or \
-           portfolio.")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race SD, EIJ and HYBRID on separate cores; the first decisive \
-           verdict wins and cancels the others. Overrides $(b,--method).")
+          "Decision method: sd, eij, hybrid, hybrid:N, svc or lazy.")
 
 let timeout_arg =
   Arg.(
@@ -182,8 +173,7 @@ let pp_assignment ppf (a : Brute.assignment) =
   List.iter (fun (n, b) -> Format.fprintf ppf "  %s = %b@." n b) a.Brute.bools
 
 let solve_cmd =
-  let run file method_ portfolio timeout countermodel certify obs_finish =
-    let method_ = if portfolio then Decide.Portfolio else method_ in
+  let run file method_ timeout countermodel certify obs_finish =
     let ctx = Ast.create_ctx () in
     match Obs.span ~cat:"pipeline" "parse" (fun () -> read_formula ctx file) with
     | exception Parse.Error msg ->
@@ -196,9 +186,6 @@ let solve_cmd =
             Decide.decide ~method_ ~deadline ~certify ctx formula)
       in
       Format.printf "method:     %a@." Decide.pp_method method_;
-      (match r.Decide.winner with
-      | Some w -> Format.printf "winner:     %a@." Decide.pp_method w
-      | None -> ());
       Format.printf "size:       %d DAG nodes@." (Ast.size formula);
       Format.printf "translate:  %.3fs@." r.Decide.translate_time;
       Format.printf "search:     %.3fs@." r.Decide.sat_time;
@@ -254,7 +241,7 @@ let solve_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ method_arg $ portfolio_arg $ timeout_arg
+      const run $ file_arg $ method_arg $ timeout_arg
       $ countermodel_arg $ certify_arg $ obs_term)
   in
   Cmd.v
@@ -374,8 +361,6 @@ let bench_cmd =
     | "4" -> Sepsat_harness.Experiments.figure4 ~deadline_s:timeout ppf
     | "5" -> Sepsat_harness.Experiments.figure5 ~deadline_s:timeout ppf
     | "6" -> Sepsat_harness.Experiments.figure6 ~deadline_s:timeout ppf
-    | "portfolio" ->
-      Sepsat_harness.Experiments.figure_portfolio ~deadline_s:timeout ppf
     | "hybrid" ->
       Sepsat_harness.Experiments.figure_hybrid ~deadline_s:timeout ppf
     | "all" -> Sepsat_harness.Experiments.all ~deadline_s:timeout ppf
@@ -388,7 +373,7 @@ let bench_cmd =
     Arg.(
       value & opt string "all"
       & info [ "figure" ] ~docv:"ID"
-          ~doc:"2, 3, threshold, 4, 5, 6, portfolio, hybrid or all.")
+          ~doc:"2, 3, threshold, 4, 5, 6, hybrid or all.")
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
@@ -403,8 +388,8 @@ let cnf_cmd =
       exit 2
     | formula -> (
       match method_ with
-      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio ->
-        Format.eprintf "cnf export requires a single eager method@.";
+      | Decide.Svc_baseline | Decide.Lazy_baseline ->
+        Format.eprintf "cnf export requires an eager method@.";
         exit 2
       | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _ -> (
         match Decide.cnf ~method_ ctx formula with

@@ -16,9 +16,7 @@ let procedure_of_method ?(timeout = 10.) method_ =
     match method_ with
     | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _ ->
       true
-    (* Portfolio certifies through its winning eager member, but DRUP traces
-       are not yet plumbed out of the race, so don't demand one. *)
-    | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio -> false
+    | Decide.Svc_baseline | Decide.Lazy_baseline -> false
   in
   {
     name = Format.asprintf "%a" Decide.pp_method method_;

@@ -25,7 +25,7 @@ type procedure = {
 
 val procedure_of_method : ?timeout:float -> Decide.method_ -> procedure
 (** Eager methods run with [~certify:true] and
-    [expect_proof = true]; baselines and PORTFOLIO produce no proofs.
+    [expect_proof = true]; the baselines produce no proofs.
     [timeout] (seconds, default 10) bounds each call. *)
 
 val default_procedures : ?timeout:float -> unit -> procedure list

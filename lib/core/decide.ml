@@ -1,5 +1,4 @@
 module Ast = Sepsat_suf.Ast
-module Parse = Sepsat_suf.Parse
 module Elim = Sepsat_suf.Elim
 module Verdict = Sepsat_sep.Verdict
 module Hybrid = Sepsat_encode.Hybrid
@@ -11,7 +10,6 @@ module Deadline = Sepsat_util.Deadline
 module Svc = Sepsat_baselines.Svc
 module Lazy_smt = Sepsat_baselines.Lazy_smt
 module Obs = Sepsat_obs.Obs
-module Trace_ctx = Sepsat_obs.Trace_ctx
 
 type method_ =
   | Sd
@@ -20,7 +18,6 @@ type method_ =
   | Hybrid_at of int
   | Svc_baseline
   | Lazy_baseline
-  | Portfolio
 
 let pp_method ppf = function
   | Sd -> Format.pp_print_string ppf "SD"
@@ -30,7 +27,6 @@ let pp_method ppf = function
   | Hybrid_at t -> Format.fprintf ppf "HYBRID(%d)" t
   | Svc_baseline -> Format.pp_print_string ppf "SVC"
   | Lazy_baseline -> Format.pp_print_string ppf "LAZY"
-  | Portfolio -> Format.pp_print_string ppf "PORTFOLIO"
 
 let method_of_string s =
   match String.lowercase_ascii s with
@@ -39,7 +35,6 @@ let method_of_string s =
   | "hybrid" -> Some Hybrid_default
   | "svc" -> Some Svc_baseline
   | "lazy" -> Some Lazy_baseline
-  | "portfolio" -> Some Portfolio
   | s -> (
     match String.index_opt s ':' with
     | Some i when String.sub s 0 i = "hybrid" -> (
@@ -60,7 +55,6 @@ type result = {
   cnf_clauses : int;
   sat_stats : Solver.stats option;
   encode_stats : Hybrid.stats option;
-  winner : method_ option;
 }
 
 let eliminate = Elim.eliminate
@@ -74,7 +68,7 @@ let eager_config = function
   | Eij -> Hybrid.eij_only
   | Hybrid_default -> Hybrid.default
   | Hybrid_at t -> Hybrid.hybrid ~threshold:t ()
-  | Svc_baseline | Lazy_baseline | Portfolio ->
+  | Svc_baseline | Lazy_baseline ->
     invalid_arg "Decide.eager_config: not an eager method"
 
 let cnf ~method_ ctx formula =
@@ -93,7 +87,7 @@ let cnf ~method_ ctx formula =
    procedure that bottoms out in [Solver]. A mutable default rather than a
    parameter threaded through every call chain, so the bench harness and the
    differential fuzzer can toggle the whole pipeline per run. [Atomic]
-   because portfolio domains read it. *)
+   because the serve engine's worker domains read it. *)
 let simplify_flag = Atomic.make true
 
 let set_simplify_default on = Atomic.set simplify_flag on
@@ -104,12 +98,7 @@ let want_simplify = function
   | Some b -> b
   | None -> Atomic.get simplify_flag
 
-let decide_eager ?stop ?simplify ~config ~deadline ~certify ctx formula =
-  let deadline =
-    match stop with
-    | Some flag -> Deadline.with_stop deadline flag
-    | None -> deadline
-  in
+let decide_eager ?simplify ~config ~deadline ~certify ctx formula =
   let t0 = Deadline.now () in
   let elim =
     Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
@@ -131,7 +120,6 @@ let decide_eager ?stop ?simplify ~config ~deadline ~certify ctx formula =
       cnf_clauses = 0;
       sat_stats = None;
       encode_stats = None;
-      winner = None;
     }
   in
   let died_in_encode t1 =
@@ -151,7 +139,6 @@ let decide_eager ?stop ?simplify ~config ~deadline ~certify ctx formula =
     let t_enc = Deadline.now () in
     let solver = Solver.create () in
     Solver.set_simplify solver (want_simplify simplify);
-    (match stop with Some flag -> Solver.set_stop solver flag | None -> ());
     let proof = if certify then Some (Solver.start_proof solver) else None in
     (* DRUP certification replays against the exact clause stream, so it
        keeps the reference full-Tseitin conversion. *)
@@ -200,7 +187,6 @@ let decide_eager ?stop ?simplify ~config ~deadline ~certify ctx formula =
       cnf_clauses = Tseitin.clauses_added tseitin;
       sat_stats = Some (Solver.stats solver);
       encode_stats = Some encoded.Hybrid.stats;
-      winner = None;
     }
 
 (* SVC and LAZY interleave translation and search, so past elimination the
@@ -226,7 +212,6 @@ let decide_baseline ~span_name ~deadline ~decide_fn ctx formula =
     cnf_clauses = 0;
     sat_stats = None;
     encode_stats = None;
-    winner = None;
   }
 
 let decide_svc ~deadline ctx formula =
@@ -240,76 +225,6 @@ let decide_lazy ?simplify ~deadline ctx formula =
     ~decide_fn:(fun ~deadline ctx f -> Lazy_smt.decide ~simplify ~deadline ctx f)
     ctx formula
 
-(* -- Multicore portfolio -------------------------------------------------- *)
-
-let portfolio_members = [ Sd; Eij; Hybrid_default ]
-
-(* Races the eager methods on separate domains; the first decisive verdict
-   raises a shared stop flag that every competing solver polls from its
-   propagation loop — and, via [Deadline.with_stop] inside [decide_eager],
-   from the translation loops, where a losing EIJ encoding can otherwise
-   spend seconds after the race is already decided. The AST context and the
-   encoders mutate shared state, so each domain re-parses the formula
-   (print/parse round-trips are stable) into a context of its own instead of
-   sharing nodes across domains. *)
-let decide_portfolio ?simplify ~deadline ~certify ctx formula =
-  ignore ctx;
-  let t0 = Deadline.wall_now () in
-  let printed = Format.asprintf "%a" Ast.pp formula in
-  (* [Sys.time] accumulates CPU across every domain, so the race must run on
-     a wall-clock budget or N competitors would burn the deadline N times
-     faster. *)
-  let deadline =
-    match Deadline.remaining deadline with
-    | None -> Deadline.none
-    | Some r -> Deadline.after_wall r
-  in
-  let stop = Atomic.make false in
-  let winner_slot : (method_ * result) option Atomic.t = Atomic.make None in
-  let run m =
-    (* Per-domain rings mean each competitor gets its own trace lane; naming
-       the thread labels the lane in the Chrome trace. *)
-    Obs.name_thread (Format.asprintf "portfolio:%a" pp_method m);
-    Obs.span ~cat:"portfolio" (Format.asprintf "race:%a" pp_method m)
-      (fun () ->
-        let ctx' = Ast.create_ctx () in
-        let formula' = Parse.formula ctx' printed in
-        let r =
-          decide_eager ~stop ?simplify ~config:(eager_config m) ~deadline
-            ~certify ctx' formula'
-        in
-        (match r.verdict with
-        | Verdict.Valid | Verdict.Invalid _ ->
-          if Atomic.compare_and_set winner_slot None (Some (m, r)) then begin
-            Atomic.set stop true;
-            Obs.instant ~cat:"portfolio"
-              (Format.asprintf "winner:%a" pp_method m)
-          end
-        | Verdict.Unknown _ -> ());
-        r)
-  in
-  (* Hand the spawner's trace context across the domain boundary so every
-     lane's spans carry the originating request's rid. *)
-  let tctx = Trace_ctx.capture () in
-  let domains =
-    List.map
-      (fun m -> Domain.spawn (fun () -> Trace_ctx.with_ctx tctx (fun () -> run m)))
-      portfolio_members
-  in
-  let results =
-    Obs.span ~cat:"portfolio" "portfolio.race" (fun () ->
-        List.map Domain.join domains)
-  in
-  let t1 = Deadline.wall_now () in
-  let m, r =
-    match Atomic.get winner_slot with
-    | Some (m, r) -> (m, r)
-    | None ->
-      (* Nobody finished decisively: surface the first member's outcome. *)
-      (List.hd portfolio_members, List.hd results)
-  in
-  { r with total_time = t1 -. t0; winner = Some m }
-
 let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
     ?(certify = false) ?simplify ctx formula =
   match method_ with
@@ -318,7 +233,6 @@ let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
       ctx formula
   | Svc_baseline -> decide_svc ~deadline ctx formula
   | Lazy_baseline -> decide_lazy ?simplify ~deadline ctx formula
-  | Portfolio -> decide_portfolio ?simplify ~deadline ~certify ctx formula
 
 (* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
 

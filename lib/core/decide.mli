@@ -21,20 +21,17 @@ type method_ =
   | Hybrid_at of int  (** HYBRID at an explicit SEP_THOLD *)
   | Svc_baseline
   | Lazy_baseline
-  | Portfolio
-      (** races SD, EIJ and HYBRID on separate domains; first decisive
-          verdict wins and cancels the rest *)
 
 val pp_method : Format.formatter -> method_ -> unit
 
 val method_of_string : string -> method_ option
 (** Accepts ["sd"], ["eij"], ["hybrid"], ["hybrid:<n>"], ["svc"],
-    ["lazy"], ["portfolio"]. *)
+    ["lazy"]. *)
 
 type result = {
   verdict : Verdict.t;
   certified : bool option;
-      (** with [~certify:true] on an eager method or {!Portfolio}: [Some true]
+      (** with [~certify:true] on an eager method: [Some true]
           iff the [Valid] verdict's DRUP trace passed the independent
           {!Sepsat_sat.Drup_check} replay; [None] when certification was not
           requested or not applicable *)
@@ -56,16 +53,10 @@ type result = {
           elim + encode + cnf); SVC and LAZY report [elim]/[search]. On an
           [Unknown] from a translation blowup or timeout the list stops at
           the phase that gave up, which names the culprit. Same CPU clock as
-          the coarse fields; the portfolio's [total_time] is wall time. *)
+          the coarse fields. *)
   cnf_clauses : int;  (** CNF clauses handed to the solver (0 for SVC) *)
   sat_stats : Solver.stats option;
   encode_stats : Hybrid.stats option;  (** eager methods only *)
-  winner : method_ option;
-      (** for {!Portfolio}: the member whose verdict (and per-method fields —
-          times, stats, witness) this result carries; [total_time] is the
-          wall-clock time of the whole race. [None] for every other method.
-          Note that a portfolio [elim] comes from the winning domain's
-          internal re-parse of the formula, not the caller's context. *)
 }
 
 val decide :
@@ -85,9 +76,9 @@ val decide :
 
 val set_simplify_default : bool -> unit
 (** Sets the process-wide default for the [?simplify] arguments of {!decide}
-    and {!decide_sweep} (and everything layered on them: {!Portfolio}, the
-    bench harness, the differential fuzzer). Initially [true]. Atomic, so a
-    toggle is visible to portfolio domains spawned afterwards. *)
+    and {!decide_sweep} (and everything layered on them: the bench harness,
+    the differential fuzzer, the serve engine). Initially [true]. Atomic, so
+    a toggle is visible to the serve engine's worker domains. *)
 
 val simplify_default : unit -> bool
 
@@ -105,9 +96,6 @@ val cnf : method_:method_ -> Ast.ctx -> Ast.formula -> Sepsat_sat.Dimacs.cnf
 
 val valid : ?method_:method_ -> Ast.ctx -> Ast.formula -> bool
 (** Convenience wrapper. @raise Failure on an [Unknown] verdict. *)
-
-val portfolio_members : method_ list
-(** The methods {!Portfolio} races: SD, EIJ, HYBRID(default). *)
 
 (** {2 Incremental SEP_THOLD sweep}
 

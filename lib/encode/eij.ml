@@ -166,8 +166,8 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
     t.n_trans <- t.n_trans + 1;
     if t.n_trans > t.budget then raise Translation_blowup;
     (* Vertex elimination is the expensive translation phase, so it is the
-       one that must poll the budget — and, in a portfolio race, the shared
-       stop flag a winning competitor raises. *)
+       one that must poll the budget — and the deadline's stop flag, through
+       which the serve engine cancels in-flight solves on shutdown. *)
     if t.n_trans land 1023 = 0 then begin
       Sepsat_util.Deadline.check deadline;
       (* Mid-translation progress on the counter track: EIJ blowups are

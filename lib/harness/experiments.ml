@@ -157,39 +157,8 @@ let figure4 ?(deadline_s = default_deadline) ppf =
        SEP_THOLD)"
     ~benchmarks:Suite.non_invariant ~base_method:Decide.Hybrid_default
     ~base_name:"HYBRID"
-    ~others:
-      [ ("SD", Decide.Sd); ("EIJ", Decide.Eij); ("PORTFOLIO", Decide.Portfolio) ]
+    ~others:[ ("SD", Decide.Sd); ("EIJ", Decide.Eij) ]
     ~deadline_s ppf
-
-let portfolio_benchmarks =
-  [ "pipe.3"; "pipe.5"; "lsu.3"; "cache.5"; "tv.2"; "ooo.1" ]
-
-let figure_portfolio ?(deadline_s = default_deadline) ppf =
-  let already = List.length (Runner.recorded_rows ()) in
-  comparison
-    ~title:
-      "Portfolio: first-verdict-wins race vs its members (wall-clock; the \
-       portfolio should track the best column)"
-    ~benchmarks:
-      (List.filter_map Suite.find portfolio_benchmarks)
-    ~base_method:Decide.Portfolio ~base_name:"PORTFOLIO"
-    ~others:
-      [
-        ("SD", Decide.Sd);
-        ("EIJ", Decide.Eij);
-        ("HYBRID", Decide.Hybrid_default);
-      ]
-    ~deadline_s ppf;
-  (* The race reports which member crossed the line first. *)
-  List.iteri
-    (fun i (r : Runner.row) ->
-      match (r.Runner.method_, r.Runner.winner) with
-      | Decide.Portfolio, Some w when i >= already ->
-        Format.fprintf ppf "%-10s winner: %a (%.2fs wall)@." r.Runner.bench
-          Decide.pp_method w r.Runner.wall_time
-      | _ -> ())
-    (Runner.recorded_rows ());
-  Format.fprintf ppf "@."
 
 let hybrid_benchmarks =
   [
@@ -339,7 +308,6 @@ let all ?(deadline_s = default_deadline) ppf =
   figure4 ~deadline_s ppf;
   figure5 ~deadline_s ppf;
   figure6 ~deadline_s ppf;
-  figure_portfolio ~deadline_s ppf;
   figure_hybrid ~deadline_s ppf;
   ablation_threshold ~deadline_s ppf;
   ablation_positive_equality ~deadline_s ppf

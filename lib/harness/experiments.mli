@@ -30,11 +30,6 @@ val figure6 : ?deadline_s:float -> Format.formatter -> unit
 (** HYBRID against the SVC-style and CVC-style (lazy) baselines on the 39
     non-invariant benchmarks. *)
 
-val figure_portfolio : ?deadline_s:float -> Format.formatter -> unit
-(** The multicore portfolio (SD ∥ EIJ ∥ HYBRID racing on separate domains)
-    against each member on a representative benchmark subset, with the
-    winning method and wall-clock time per benchmark. *)
-
 val figure_hybrid : ?deadline_s:float -> Format.formatter -> unit
 (** Sequential HYBRID at the default SEP_THOLD on pipe.3, pipe.5, cache.5,
     lsu.3, tv.1 and batch.1/3/4, with the elim/encode/cnf/sat split of each

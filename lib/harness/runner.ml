@@ -28,7 +28,6 @@ type row = {
   decisions : int;
   propagations : int;
   trans_constraints : int;
-  winner : Decide.method_ option;  (** portfolio runs only *)
   phase_times : (string * float) list;
   alloc_words : float;
   major_words : float;
@@ -113,7 +112,6 @@ let run ?(deadline_s = 30.) method_ (bench : Suite.benchmark) =
         (match r.Decide.encode_stats with
         | Some es -> es.Hybrid.trans_constraints
         | None -> 0);
-      winner = r.Decide.winner;
       phase_times = r.Decide.phase_times;
       alloc_words;
       major_words = g1.Gc.major_words -. g0.Gc.major_words;
@@ -145,8 +143,6 @@ let outcome_label = function
   | Timed_out -> "timeout"
   | Blew_up -> "blowup"
 
-let method_json m = Json.Str (Format.asprintf "%a" Decide.pp_method m)
-
 let num_int i = Json.Num (float_of_int i)
 
 let row_to_json row =
@@ -154,7 +150,7 @@ let row_to_json row =
     [
       ("bench", Json.Str row.bench);
       ("family", Json.Str row.family);
-      ("method", method_json row.method_);
+      ("method", Json.Str (Format.asprintf "%a" Decide.pp_method row.method_));
       ("verdict", Json.Str (verdict_label row.verdict));
       ("outcome", Json.Str (outcome_label row.outcome));
       ("wall_time", Json.Num row.wall_time);
@@ -170,7 +166,6 @@ let row_to_json row =
       ("conflicts", num_int row.conflicts);
       ("decisions", num_int row.decisions);
       ("propagations", num_int row.propagations);
-      ("winner", Option.fold ~none:Json.Null ~some:method_json row.winner);
       ( "gc",
         Json.Obj
           [

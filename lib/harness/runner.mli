@@ -24,7 +24,6 @@ type row = {
   decisions : int;
   propagations : int;
   trans_constraints : int;
-  winner : Decide.method_ option;  (** portfolio runs only *)
   phase_times : (string * float) list;
       (** per-phase split of [total_time]; see {!Sepsat.Decide.result} *)
   alloc_words : float;  (** words allocated during the decide call *)
@@ -52,10 +51,10 @@ val write_json : string -> row list -> unit
     ([completed]/[timeout]/[blowup]), [wall_time], [cpu_time],
     [translate_time], [sat_time], [phase_times] (object of per-phase
     seconds), [size], [sep_cnt], [cnf_clauses], [conflicts], [decisions],
-    [propagations], [winner] (string or null), [gc] (per-run allocation
-    deltas). The top-level [gc] is the process-wide [Gc.quick_stat] at write
-    time; [metrics] is {!Sepsat_obs.Metrics.to_json} (empty object when
-    observability is off). *)
+    [propagations], [gc] (per-run allocation deltas). The top-level [gc]
+    is the process-wide [Gc.quick_stat] at write time; [metrics] is
+    {!Sepsat_obs.Metrics.to_json} (empty object when observability is
+    off). *)
 
 val penalized_time : deadline_s:float -> row -> float
 (** Total time, with timeouts/blowups charged the full deadline — the

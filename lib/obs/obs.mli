@@ -5,10 +5,10 @@
     collector (tracing, {!Flight}) per call site when everything is
     disabled. When enabled ({!enable}), every emission goes to
     a ring buffer owned by the emitting domain — no locks or cross-domain
-    writes on the hot path — so the portfolio's racing domains can trace
+    writes on the hot path — so the serve engine's worker domains can trace
     concurrently. Buffers register themselves in a global list under a mutex
     on first use; {!events} merges them after the emitting domains have
-    quiesced (for the portfolio: after [Domain.join]).
+    quiesced (for example after [Domain.join]).
 
     Timestamps are wall-clock seconds filtered through a per-domain monotone
     clamp, so within one domain the capture order is the timestamp order even
@@ -100,8 +100,8 @@ val sample : string -> float -> unit
 
 val name_thread : string -> unit
 (** Label the calling domain's lane in exported traces, flight dumps and the
-    engine's live lane table — the portfolio names each racing domain after
-    its method, pools suffix a generation. Last call per domain wins.
+    engine's live lane table — worker pools and load-generator clients
+    suffix an index. Last call per domain wins.
     Unconditional (not gated on {!enabled}). *)
 
 val thread_names : unit -> (int * string) list

@@ -8,8 +8,8 @@
     is visible on the exported timeline.
 
     Everything is domain-safe: the callback cell is an atomic, and the
-    rate/printer state is domain-local, so the portfolio's racing solvers
-    report independently. *)
+    rate/printer state is domain-local, so the serve engine's concurrent
+    workers report independently. *)
 
 type snapshot = {
   p_conflicts : int;

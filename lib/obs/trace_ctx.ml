@@ -1,9 +1,9 @@
 (* Request-scoped ambient context: a request id plus the stack of open span
    names, stored in domain-local storage. Domains do not inherit DLS on
-   spawn, so fan-out points (the portfolio race) must [capture] the
-   context before spawning and re-install it with [with_ctx] inside the
-   child — that explicit handoff is what lets one rid reconstruct a span
-   tree that crosses domain boundaries. *)
+   spawn, so a job handed to another domain carries its rid and path as
+   plain data, and the receiving domain rebuilds the context with [make]
+   and installs it with [with_ctx] — that explicit handoff is what lets one
+   rid reconstruct a span tree that crosses domain boundaries. *)
 
 type t = { rid : string; path : string list (* innermost first *) }
 
@@ -16,8 +16,6 @@ let make ~rid ?(path = []) () = { rid; path = List.rev path }
 let key : t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref none)
 
 let current () = !(Domain.DLS.get key)
-
-let capture = current
 
 let rid () = (current ()).rid
 

@@ -4,9 +4,11 @@
     names in domain-local storage. {!Obs.span} tags recorded events with
     the ambient rid and maintains the path; everything else reads it.
 
-    Child domains start with an empty context — fan-out code must
-    {!capture} before [Domain.spawn] and wrap the child body in
-    {!with_ctx} so the request identity survives the crossing. *)
+    Domains start with an empty context — code that hands work to another
+    domain passes the rid and path along with it, and the receiving domain
+    rebuilds the context with {!make} and wraps the work in {!with_ctx} (as
+    the serve engine's workers do per job), so the request identity
+    survives the crossing. *)
 
 type t
 (** Immutable snapshot of a context (rid + open-span path). *)
@@ -21,18 +23,14 @@ val make : rid:string -> ?path:string list -> unit -> t
     every span, flight record, log line and exemplar under it carry the
     fleet-wide rid. *)
 
-val capture : unit -> t
-(** Snapshot the calling domain's current context, for handing to a child
-    domain. Cheap (returns the current immutable record). *)
-
 val with_ctx : t -> (unit -> 'a) -> 'a
 (** [with_ctx ctx f] runs [f] with [ctx] installed as the ambient context,
     restoring the previous context afterwards (also on exceptions). *)
 
 val with_rid : string -> (unit -> 'a) -> 'a
 (** [with_rid rid f] runs [f] with the ambient rid set to [rid], keeping
-    the current span path. The serve engine wraps request processing in
-    this. *)
+    the current span path. Scopes a rid within one domain; the serve
+    engine installs a whole context per job with {!with_ctx} instead. *)
 
 val rid : unit -> string
 (** The ambient request id; [""] outside any request. *)

@@ -92,7 +92,6 @@ type t = {
   (* Incremental interface *)
   assumptions : Iv.t;
   mutable conflict_core : Lit.t list;
-  mutable stop : bool Atomic.t;
   (* State *)
   mutable ok : bool;
   mutable model : bool array option;
@@ -150,7 +149,6 @@ let create () =
     ext_live = Iv.create ();
     assumptions = Iv.create ();
     conflict_core = [];
-    stop = Atomic.make false;
     ok = true;
     model = None;
     proof = None;
@@ -504,89 +502,83 @@ let attach_careful s cr =
 (* Returns the conflicting cref or [cref_undef]. *)
 let propagate s =
   let confl = ref cref_undef in
-  let stopped = ref false in
-  while (not !stopped) && !confl = cref_undef && s.qhead < Iv.size s.trail do
-    (* Cheap cancellation poll: a masked atomic load keeps the hot loop hot
-       while letting a portfolio peer abort a propagation-heavy search. *)
-    if s.n_props land 255 = 0 && Atomic.get s.stop then stopped := true
-    else begin
-      let p = Iv.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.n_props <- s.n_props + 1;
-      let false_lit = p lxor 1 in
-      let ws = Array.unsafe_get s.watches p in
-      let i = ref 0 in
-      let j = ref 0 in
-      let n = Iv.size ws in
-      while !i < n do
-        let cr = Iv.get ws !i in
-        let blk = Iv.get ws (!i + 1) in
-        i := !i + 2;
-        if value_lit s blk = 1 then begin
-          (* Blocker true: clause satisfied, watch kept, arena untouched. *)
-          Iv.set ws !j cr;
-          Iv.set ws (!j + 1) blk;
-          j := !j + 2
-        end
+  while !confl = cref_undef && s.qhead < Iv.size s.trail do
+    let p = Iv.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.n_props <- s.n_props + 1;
+    let false_lit = p lxor 1 in
+    let ws = Array.unsafe_get s.watches p in
+    let i = ref 0 in
+    let j = ref 0 in
+    let n = Iv.size ws in
+    while !i < n do
+      let cr = Iv.get ws !i in
+      let blk = Iv.get ws (!i + 1) in
+      i := !i + 2;
+      if value_lit s blk = 1 then begin
+        (* Blocker true: clause satisfied, watch kept, arena untouched. *)
+        Iv.set ws !j cr;
+        Iv.set ws (!j + 1) blk;
+        j := !j + 2
+      end
+      else begin
+        let arena = s.arena in
+        let hd = Array.unsafe_get arena cr in
+        if hd land 1 = 1 then () (* dead (simplifier): drop the watch *)
         else begin
-          let arena = s.arena in
-          let hd = Array.unsafe_get arena cr in
-          if hd land 1 = 1 then () (* dead (simplifier): drop the watch *)
+          let base = cr + 2 in
+          let sz = hd lsr 2 in
+          if Array.unsafe_get arena base = false_lit then begin
+            Array.unsafe_set arena base (Array.unsafe_get arena (base + 1));
+            Array.unsafe_set arena (base + 1) false_lit
+          end;
+          let first = Array.unsafe_get arena base in
+          if first <> blk && value_lit s first = 1 then begin
+            Iv.set ws !j cr;
+            Iv.set ws (!j + 1) first;
+            j := !j + 2
+          end
           else begin
-            let base = cr + 2 in
-            let sz = hd lsr 2 in
-            if Array.unsafe_get arena base = false_lit then begin
-              Array.unsafe_set arena base (Array.unsafe_get arena (base + 1));
-              Array.unsafe_set arena (base + 1) false_lit
-            end;
-            let first = Array.unsafe_get arena base in
-            if first <> blk && value_lit s first = 1 then begin
+            (* Look for a new literal to watch. *)
+            let k = ref 2 in
+            while
+              !k < sz && value_lit s (Array.unsafe_get arena (base + !k)) = -1
+            do
+              incr k
+            done;
+            if !k < sz then begin
+              let nw = Array.unsafe_get arena (base + !k) in
+              Array.unsafe_set arena (base + 1) nw;
+              Array.unsafe_set arena (base + !k) false_lit;
+              let ws' = Array.unsafe_get s.watches (nw lxor 1) in
+              Iv.push ws' cr;
+              Iv.push ws' first
+              (* watch moved: not kept in this list *)
+            end
+            else if value_lit s first = -1 then begin
+              (* Conflict: keep remaining watches and stop. *)
+              confl := cr;
+              s.qhead <- Iv.size s.trail;
+              while !i < n do
+                Iv.set ws !j (Iv.get ws !i);
+                incr j;
+                incr i
+              done;
               Iv.set ws !j cr;
               Iv.set ws (!j + 1) first;
               j := !j + 2
             end
             else begin
-              (* Look for a new literal to watch. *)
-              let k = ref 2 in
-              while
-                !k < sz && value_lit s (Array.unsafe_get arena (base + !k)) = -1
-              do
-                incr k
-              done;
-              if !k < sz then begin
-                let nw = Array.unsafe_get arena (base + !k) in
-                Array.unsafe_set arena (base + 1) nw;
-                Array.unsafe_set arena (base + !k) false_lit;
-                let ws' = Array.unsafe_get s.watches (nw lxor 1) in
-                Iv.push ws' cr;
-                Iv.push ws' first
-                (* watch moved: not kept in this list *)
-              end
-              else if value_lit s first = -1 then begin
-                (* Conflict: keep remaining watches and stop. *)
-                confl := cr;
-                s.qhead <- Iv.size s.trail;
-                while !i < n do
-                  Iv.set ws !j (Iv.get ws !i);
-                  incr j;
-                  incr i
-                done;
-                Iv.set ws !j cr;
-                Iv.set ws (!j + 1) first;
-                j := !j + 2
-              end
-              else begin
-                unchecked_enqueue s first cr;
-                Iv.set ws !j cr;
-                Iv.set ws (!j + 1) first;
-                j := !j + 2
-              end
+              unchecked_enqueue s first cr;
+              Iv.set ws !j cr;
+              Iv.set ws (!j + 1) first;
+              j := !j + 2
             end
           end
         end
-      done;
-      Iv.shrink ws !j
-    end
+      end
+    done;
+    Iv.shrink ws !j
   done;
   !confl
 

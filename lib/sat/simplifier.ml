@@ -47,11 +47,10 @@ let m_restored = lazy (Metrics.counter "sat.simplify.restored")
 let m_seconds = lazy (Metrics.histogram "sat.simplify_seconds")
 
 exception Closed
-(* The database became unsat (or the deadline/stop flag fired) mid-round. *)
+(* The database became unsat (or the deadline fired) mid-round. *)
 
 let check_continue (s : Db.t) ~deadline =
-  if (not s.Db.ok) || Deadline.exceeded deadline || Atomic.get s.Db.stop then
-    raise Closed
+  if (not s.Db.ok) || Deadline.exceeded deadline then raise Closed
 
 (* Enqueue a derived root-level unit, closing the instance when it contradicts
    the trail. The unit itself has already been logged as [Learned]. *)
@@ -465,8 +464,8 @@ let publish (s : Db.t) before_subsumed before_str before_elim before_blocked
 
 (* Run up to [max_rounds] simplification rounds at decision level 0, then
    restore the two-watch invariant and propagate to quiescence. Safe to call
-   whenever the trail is at the root; a deadline or stop flag aborts between
-   (never inside) rewrites, leaving the database consistent. *)
+   whenever the trail is at the root; a deadline (cancellation included)
+   aborts between (never inside) rewrites, leaving the database consistent. *)
 let simplify (s : Db.t) ~deadline ~max_rounds =
   if s.Db.ok && Db.decision_level s = 0 then begin
     let started = Deadline.wall_now () in

@@ -17,5 +17,6 @@
 val simplify : Db.t -> deadline:Sepsat_util.Deadline.t -> max_rounds:int -> unit
 (** Run up to [max_rounds] simplification rounds at decision level 0, then
     rebuild the watch lists and propagate to quiescence. No-op unless the
-    trail is at the root. Respects the deadline and the stop flag, aborting
-    between rewrites with the database consistent. *)
+    trail is at the root. Respects the deadline, cancellation through
+    {!Sepsat_util.Deadline.with_stop} included, aborting between rewrites
+    with the database consistent. *)

@@ -35,10 +35,6 @@ type stats = {
 
 let create () = Db.create ()
 
-let set_stop (s : t) flag = s.Db.stop <- flag
-
-let interrupted (s : t) = Atomic.get s.Db.stop
-
 let start_proof (s : t) =
   let p = Proof.create () in
   s.Db.proof <- Some p;
@@ -300,7 +296,6 @@ let search (s : t) ~nof_conflicts ~deadline =
     if confl <> Db.cref_undef then begin
       s.Db.n_conflicts <- s.Db.n_conflicts + 1;
       incr conflict_count;
-      if Atomic.get s.Db.stop then raise (Solved Unknown);
       if Db.decision_level s = 0 then begin
         Db.log_learned s [];
         s.Db.conflict_core <- [];
@@ -329,7 +324,6 @@ let search (s : t) ~nof_conflicts ~deadline =
       loop ()
     end
     else begin
-      if Atomic.get s.Db.stop then raise (Solved Unknown);
       if !conflict_count >= nof_conflicts then begin
         s.Db.n_restarts <- s.Db.n_restarts + 1;
         Db.cancel_until s 0
@@ -501,12 +495,6 @@ let model (s : t) =
   match s.Db.model with
   | Some m -> Array.copy m
   | None -> invalid_arg "Solver.model: no model available"
-
-let warm_start (s : t) phases =
-  let n = min (Array.length phases) s.Db.nvars in
-  for v = 0 to n - 1 do
-    s.Db.polarity.(v) <- phases.(v)
-  done
 
 let value (s : t) l =
   match s.Db.model with

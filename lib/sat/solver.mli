@@ -18,7 +18,7 @@ type t
 type result =
   | Sat
   | Unsat
-  | Unknown  (** conflict budget or deadline exhausted, or stop flag raised *)
+  | Unknown  (** conflict budget or deadline exhausted, or cancelled *)
 
 type stats = {
   conflicts : int;  (** conflict clauses learned, the paper's Fig. 2 metric *)
@@ -100,21 +100,16 @@ val solve :
     returns — they do not change the database, so the solver remains usable
     whatever the result. [Unsat] under non-empty assumptions means the
     database together with {!unsat_core} (a subset of the assumptions) is
-    unsatisfiable; the database alone may still be satisfiable. *)
+    unsatisfiable; the database alone may still be satisfiable. The
+    [deadline] (and its {!Sepsat_util.Deadline.with_stop} flag, the one
+    cancellation channel) is polled every 1024 conflicts and after every
+    restart; once it fires the call returns [Unknown]. *)
 
 val unsat_core : t -> Lit.t list
 (** After [solve ~assumptions] returned [Unsat]: the failed-assumption core —
     a subset of the assumptions whose conjunction with the clause database is
     unsatisfiable. Empty when the database is unsatisfiable on its own.
     Meaningless after any other result. *)
-
-val set_stop : t -> bool Atomic.t -> unit
-(** Installs a shared cancellation flag. The propagation loop polls it (on a
-    256-propagation mask) and [solve] returns [Unknown] promptly once it is
-    set; the portfolio racer uses one flag across all competing solvers. *)
-
-val interrupted : t -> bool
-(** Whether the installed stop flag is currently set. *)
 
 val value : t -> Lit.t -> bool
 (** Model value of a literal after [solve] returned [Sat].
@@ -123,11 +118,6 @@ val value : t -> Lit.t -> bool
 val model : t -> bool array
 (** Model as an array indexed by variable, after [Sat].
     @raise Invalid_argument if no model is available. *)
-
-val warm_start : t -> bool array -> unit
-(** Seeds the saved branching phases from a model of a related instance (for
-    example the winning portfolio member's), so the next [solve] call
-    re-converges on a nearby assignment. Extra entries are ignored. *)
 
 val export_cnf : t -> int * Lit.t list list
 (** [(nvars, clauses)]: the active problem clauses plus the root-level unit

@@ -155,9 +155,8 @@ let process t (jb : job) : reply =
      pipeline — carries the request's correlation id, so one grep on the
      rid reconstructs the request's full path. The ambient Trace_ctx rid
      does the same for Obs spans and flight records: the request-root span
-     and every descendant (parse, solve, portfolio lanes via the spawn
-     handoff) is tagged with this rid. Installing a
-     whole context (not just the rid) both adopts the upstream hop path of
+     and every descendant (parse, solve) is tagged with this rid. Installing
+     a whole context (not just the rid) both adopts the upstream hop path of
      a fleet request and guarantees no span path leaks in from whatever
      ran on this worker before. *)
   Trace_ctx.with_ctx (Trace_ctx.make ~rid:jb.jb_rid ~path:jb.jb_path ())

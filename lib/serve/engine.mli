@@ -4,7 +4,7 @@
     Life of a request: {!submit} enqueues it (or refuses — {e sheds} — when
     the queue is at capacity, the explicit backpressure bound); a worker
     domain pops it, parses the text into a fresh per-request context (AST
-    contexts are single-domain, exactly like {!Sepsat.Decide}'s portfolio),
+    contexts are single-domain),
     computes the {!Sepsat_suf.Ast.digest}, and asks the cache. A hit answers
     without solving; a miss runs the pipeline under a per-request wall-clock
     deadline — expiry yields an [unknown] verdict, never a dead worker — and
@@ -14,8 +14,7 @@
 
     Deadlines are wall-clock, not CPU: with several domains solving
     concurrently, [Sys.time] accumulates across all of them and a CPU budget
-    would fire N times early (same reasoning as the portfolio's race
-    deadline). Every worker also observes the engine's stop flag through
+    would fire N times early. Every worker also observes the engine's stop flag through
     {!Sepsat_util.Deadline.with_stop}, which is how {!shutdown} cancels
     in-flight solves promptly.
 

@@ -60,7 +60,6 @@ let method_to_wire = function
   | Decide.Hybrid_at t -> Printf.sprintf "hybrid:%d" t
   | Decide.Svc_baseline -> "svc"
   | Decide.Lazy_baseline -> "lazy"
-  | Decide.Portfolio -> "portfolio"
 
 let request_of_line line =
   match Json.parse line with

@@ -6,10 +6,10 @@
     timeout at laptop-friendly scales.
 
     Single-method runs use processor-time deadlines ({!after}), matching the
-    paper's CPU-budget methodology. The multicore portfolio uses wall-clock
-    deadlines ({!after_wall}): [Sys.time] accumulates across every running
-    domain, so a CPU deadline would fire N times too early when N domains
-    race. *)
+    paper's CPU-budget methodology. The serve engine's worker pool uses
+    wall-clock deadlines ({!after_wall}): [Sys.time] accumulates across
+    every running domain, so a CPU deadline would fire N times too early
+    when N domains solve at once. *)
 
 type t
 
@@ -25,10 +25,10 @@ val after_wall : float -> t
 (** [after_wall s] fires [s] seconds of wall-clock time from now. *)
 
 val with_stop : t -> bool Atomic.t -> t
-(** [with_stop t flag] also fires as soon as [flag] becomes true — the
-    cancellation path of the portfolio race: the winner raises the shared
-    flag and every deadline poll in the losers (translation loops included)
-    observes it. *)
+(** [with_stop t flag] also fires as soon as [flag] becomes true — the one
+    cancellation channel: the serve engine's [shutdown] raises the shared
+    flag and every deadline poll in its in-flight solves (translation loops
+    and SAT search included) observes it. *)
 
 val interrupted : t -> bool
 (** Whether the {!with_stop} flag (if any) has been raised — distinguishes

@@ -116,7 +116,6 @@ let test_runner_timeout_penalty () =
       decisions = 0;
       propagations = 0;
       trans_constraints = 0;
-      winner = None;
       phase_times = [ ("elim", 1.); ("sat", 2.) ];
       alloc_words = 0.;
       major_words = 0.;
@@ -153,7 +152,6 @@ let fake_row ?(method_ = Decide.Sd) ?(phases = [ ("elim", 0.1); ("sat", 0.2) ])
     decisions = 0;
     propagations = 0;
     trans_constraints = 0;
-    winner = None;
     phase_times = phases;
     alloc_words = 0.;
     major_words = 0.;

@@ -319,13 +319,12 @@ let test_span_rid_tagging () =
     (List.assoc "untagged" rids);
   Alcotest.(check string) "instant outside: empty" "" (List.assoc "mark" rids)
 
-(* The handoff the pools use: capture in the requesting domain, adopt in
-   the worker — the worker's spans then carry the request's rid. *)
+(* The handoff the serve engine's workers use: the job carries its rid,
+   the worker domain rebuilds the context with [make] and installs it with
+   [with_ctx] — the worker's spans then carry the request's rid. *)
 let test_trace_ctx_cross_domain () =
   fresh ();
-  let tctx =
-    Trace_ctx.with_rid "rq-far" (fun () -> Trace_ctx.capture ())
-  in
+  let tctx = Trace_ctx.make ~rid:"rq-far" () in
   let d =
     Domain.spawn (fun () ->
         Trace_ctx.with_ctx tctx (fun () ->

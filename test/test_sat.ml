@@ -551,45 +551,18 @@ let test_add_clause_hygiene () =
   Alcotest.check result_t "unsat" Solver.Unsat (Solver.solve s);
   Alcotest.(check bool) "certified" true (Drup_check.certified proof)
 
-let test_warm_start () =
-  let s = Solver.create () in
-  let vars = Array.init 6 (fun _ -> Solver.new_var s) in
-  (* wholly unconstrained variables follow their seeded phases *)
-  Solver.add_clause s [ Lit.pos vars.(0); Lit.pos vars.(1) ];
-  let phases = Array.init 6 (fun i -> i mod 2 = 0) in
-  Solver.warm_start s phases;
-  Alcotest.check result_t "sat" Solver.Sat (Solver.solve s);
-  let m = Solver.model s in
-  for i = 2 to 5 do
-    Alcotest.(check bool)
-      (Printf.sprintf "phase of v%d honoured" i)
-      phases.(i) m.(vars.(i))
-  done
-
 let test_stop_flag () =
-  let s = Solver.create () in
-  (* a pigeonhole instance large enough that it cannot finish instantly *)
-  let holes = 8 in
-  let v =
-    Array.init (holes + 1) (fun _ ->
-        Array.init holes (fun _ -> Solver.new_var s))
-  in
-  for p = 0 to holes do
-    Solver.add_clause s (List.init holes (fun h -> Lit.pos v.(p).(h)))
-  done;
-  for h = 0 to holes - 1 do
-    for p1 = 0 to holes do
-      for p2 = p1 + 1 to holes do
-        Solver.add_clause s [ Lit.neg_of v.(p1).(h); Lit.neg_of v.(p2).(h) ]
-      done
-    done
-  done;
+  (* A pigeonhole instance that cannot finish before the first restart, where
+     [solve] polls the deadline; cancelling goes through the deadline's stop
+     flag, the one cancellation channel. *)
+  let s = pigeonhole 8 in
   let flag = Atomic.make true in
-  Solver.set_stop s flag;
-  Alcotest.check result_t "cancelled" Solver.Unknown (Solver.solve s);
-  Alcotest.(check bool) "interrupted" true (Solver.interrupted s);
+  let deadline = Deadline.with_stop Deadline.none flag in
+  Alcotest.check result_t "cancelled" Solver.Unknown (Solver.solve ~deadline s);
+  Alcotest.(check bool) "interrupted" true (Deadline.interrupted deadline);
   Atomic.set flag false;
-  Alcotest.check result_t "resumes to unsat" Solver.Unsat (Solver.solve s)
+  Alcotest.check result_t "resumes to unsat" Solver.Unsat
+    (Solver.solve ~deadline s)
 
 let gen_cnf_with_assumptions ~nvars ~nclauses ~width ~nassum =
   QCheck2.Gen.(
@@ -694,7 +667,6 @@ let () =
           Alcotest.test_case "eliminated stat" `Quick test_eliminated_stat;
           Alcotest.test_case "add_clause hygiene with a proof" `Quick
             test_add_clause_hygiene;
-          Alcotest.test_case "warm start" `Quick test_warm_start;
           Alcotest.test_case "stop flag" `Quick test_stop_flag;
           QCheck_alcotest.to_alcotest prop_assumptions_agree;
           QCheck_alcotest.to_alcotest prop_failed_core_unsat;

@@ -176,7 +176,7 @@ let test_protocol_requests () =
     (fun m ->
       (match m with
       | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _
-      | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio -> ());
+      | Decide.Svc_baseline | Decide.Lazy_baseline -> ());
       let wire = Protocol.method_to_wire m in
       Alcotest.(check bool) ("method wire name " ^ wire) true
         (Decide.method_of_string wire = Some m))
@@ -188,7 +188,6 @@ let test_protocol_requests () =
         Hybrid_at 450;
         Svc_baseline;
         Lazy_baseline;
-        Portfolio;
       ];
   List.iter
     (fun m ->
@@ -196,7 +195,7 @@ let test_protocol_requests () =
         (Error (Printf.sprintf "unknown method %S" m))
         (Protocol.request_of_line
            (Printf.sprintf "{\"formula\":\"(= x x)\",\"method\":%S}" m)))
-    [ "cube"; "components" ]
+    [ "cube"; "components"; "portfolio" ]
 
 let test_protocol_replies () =
   let replies =

@@ -146,17 +146,15 @@ let test_restore_on_add () =
   Alcotest.(check bool) "restored clause propagates" true
     (Solver.value s (Lit.pos v.(2)))
 
-let test_warm_start_no_resurrection () =
+let test_model_extends_over_eliminated () =
   let s = Solver.create () in
   let v = fresh_vars s 3 in
   Solver.add_clause s [ Lit.pos v.(0); Lit.pos v.(1) ];
   Solver.add_clause s [ Lit.neg_of v.(0); Lit.pos v.(2) ];
   Solver.simplify s;
   Alcotest.(check bool) "v0 eliminated" true (Solver.is_eliminated s v.(0));
-  (* seeding phases for every variable must not bring v0 back as a
-     decision variable, and solving must still extend the model over it *)
-  Solver.warm_start s [| true; false; true |];
-  Alcotest.(check bool) "still eliminated" true (Solver.is_eliminated s v.(0));
+  (* v0 is no decision variable any more; solving must still extend the
+     model over it *)
   Alcotest.check result_t "sat" Solver.Sat (Solver.solve s);
   Alcotest.(check bool) "eliminated var has a model value" true
     (let m = Solver.model s in
@@ -258,7 +256,7 @@ let test_figure2_certified () =
           (Some true) r.Decide.certified)
     [ "pipe.3"; "cache.5"; "tv.1" ]
 
-(* -- Sweep and warm-start product paths under inprocessing ---------------- *)
+(* -- Sweep product path under inprocessing ---------------------------------- *)
 
 let test_sweep_verdicts_simplify_invariant () =
   List.iter
@@ -448,8 +446,8 @@ let () =
           Alcotest.test_case "assumption vars protected" `Quick
             test_assumption_vars_not_eliminated;
           Alcotest.test_case "restore on add" `Quick test_restore_on_add;
-          Alcotest.test_case "warm start no resurrection" `Quick
-            test_warm_start_no_resurrection;
+          Alcotest.test_case "model extends over eliminated var" `Quick
+            test_model_extends_over_eliminated;
           Alcotest.test_case "unsat core under inprocessing" `Quick
             test_unsat_core_under_inprocessing;
           QCheck_alcotest.to_alcotest prop_incremental_assumptions_simplified;
