@@ -21,7 +21,7 @@ module Decide = Sepsat.Decide
 module Verdict = Sepsat_sep.Verdict
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
-module Chrome_trace = Sepsat_obs.Chrome_trace
+module Flight = Sepsat_obs.Flight
 
 let deadline_s = ref 30.
 
@@ -80,8 +80,8 @@ let spec =
       " disable the SAT core's pre/inprocessing for every run" );
     ( "--flight",
       Arg.Set flight,
-      " turn on the flight recorder for every run, as a server would — the \
-       perf gate uses this to price always-on recording" );
+      " turn the event store on at a server's capacity (4096) for every run \
+       — the perf gate uses this to price always-on recording" );
     ( "--repeat",
       Arg.Set_int repeat,
       " run the selected figure(s) K times; baselines keep the min" );
@@ -109,9 +109,9 @@ let () =
   | Some l -> Obs.set_level l
   | None -> raise (Arg.Bad ("unknown log level: " ^ !log_level)));
   if !trace_path <> "" || !stats || Obs.get_level () <> Obs.Quiet then
-    Obs.enable ();
+    Obs.enable ()
+  else if !flight then Obs.enable ~capacity:4096 ();
   if !no_simplify then Decide.set_simplify_default false;
-  if !flight then Sepsat_obs.Flight.enable ();
   let ppf = Format.std_formatter in
   let d = !deadline_s in
   Runner.reset_recorded ();
@@ -147,11 +147,11 @@ let () =
       (List.length entries) !baseline_out
   end;
   if !trace_path <> "" then begin
-    Chrome_trace.write_current !trace_path;
+    Flight.write_trace !trace_path;
     Format.fprintf ppf "wrote trace to %s@." !trace_path
   end;
   if !stats then begin
-    Format.fprintf ppf "%a" Obs.pp_summary (Obs.events ());
+    Format.fprintf ppf "%a" Obs.pp_summary (Obs.records ());
     Format.fprintf ppf "%a" Metrics.pp ()
   end;
   if !strict then begin

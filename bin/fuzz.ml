@@ -11,7 +11,6 @@ module Differential = Sepsat_check.Differential
 module Random_formula = Sepsat_workloads.Random_formula
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
-module Chrome_trace = Sepsat_obs.Chrome_trace
 open Cmdliner
 
 let profiles =
@@ -130,10 +129,10 @@ let run iters seed gen timeout simplify no_shrink quiet trace stats log_level =
   in
   Format.printf "%a" Differential.pp_summary summary;
   (match trace with
-  | Some path -> Chrome_trace.write_current path
+  | Some path -> Sepsat_obs.Flight.write_trace path
   | None -> ());
   if stats then begin
-    Format.printf "%a" Obs.pp_summary (Obs.events ());
+    Format.printf "%a" Obs.pp_summary (Obs.records ());
     Format.printf "%a" Metrics.pp ()
   end;
   exit (if summary.Differential.failures = [] then 0 else 1)

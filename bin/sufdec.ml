@@ -25,9 +25,9 @@ module Deadline = Sepsat_util.Deadline
 module Json = Sepsat_util.Json
 module Suite = Sepsat_workloads.Suite
 module Obs = Sepsat_obs.Obs
+module Flight = Sepsat_obs.Flight
 module Metrics = Sepsat_obs.Metrics
 module Progress = Sepsat_obs.Progress
-module Chrome_trace = Sepsat_obs.Chrome_trace
 open Cmdliner
 
 (* Chunked, not byte-at-a-time: scripts pipe whole benchmark suites through
@@ -158,11 +158,11 @@ let obs_setup trace stats level =
   fun () ->
     (match trace with
     | Some path ->
-      Chrome_trace.write_current path;
+      Flight.write_trace path;
       Obs.log Obs.Info "trace written to %s" path
     | None -> ());
     if stats then begin
-      Format.printf "%a" Obs.pp_summary (Obs.events ());
+      Format.printf "%a" Obs.pp_summary (Obs.records ());
       Format.printf "%a" Metrics.pp ()
     end
 
@@ -488,11 +488,11 @@ let serve_cmd =
       Engine.create ?workers ?flight_dir ~queue_capacity:queue_cap
         ~cache_capacity:cache_cap ~default_timeout_s:default_timeout ()
     in
-    (* The engine turned the flight recorder on; wire up the on-demand
+    (* The engine turned the event store on; wire up the on-demand
        dumps: SIGUSR1 for a live server, the crash handler for everything
        else. *)
-    Sepsat_obs.Flight.install_signal_dump ();
-    Sepsat_obs.Flight.install_crash_dump ();
+    Flight.install_signal_dump ();
+    Flight.install_crash_dump ();
     (match socket with
     | Some path -> Server.serve_unix ?metrics_path:metrics_socket engine ~path
     | None ->
@@ -962,8 +962,6 @@ let top_cmd =
 
 (* -- trace: assemble a cross-process Chrome trace from flight dumps ------- *)
 
-module Flight = Sepsat_obs.Flight
-
 let trace_cmd =
   let run socket rid out =
     let path =
@@ -1026,8 +1024,8 @@ let trace_cmd =
       | _ -> [ Flight.source_of_json ~label:"server" doc ]
     in
     let trace = Flight.assemble ?rid sources in
-    let kept (r : Flight.record) =
-      match rid with None -> true | Some id -> r.Flight.fr_rid = id
+    let kept (r : Obs.record) =
+      match rid with None -> true | Some id -> r.fr_rid = id
     in
     let total =
       List.fold_left
@@ -1040,9 +1038,8 @@ let trace_cmd =
         (List.concat_map
            (fun s ->
              List.filter_map
-               (fun (r : Flight.record) ->
-                 if kept r && r.Flight.fr_rid <> "" then
-                   Some r.Flight.fr_rid
+               (fun (r : Obs.record) ->
+                 if kept r && r.fr_rid <> "" then Some r.fr_rid
                  else None)
                s.Flight.src_records)
            sources)

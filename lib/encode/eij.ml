@@ -170,9 +170,13 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
        which the serve engine cancels in-flight solves on shutdown. *)
     if t.n_trans land 1023 = 0 then begin
       Sepsat_util.Deadline.check deadline;
-      (* Mid-translation progress on the counter track: EIJ blowups are
-         visible on the timeline before they exhaust the budget. *)
-      Sepsat_obs.Obs.sample "eij.trans_constraints" (float_of_int t.n_trans)
+      (* Mid-translation progress on the eij.trans_constraints counter
+         track: EIJ blowups are visible on the timeline before they
+         exhaust the budget. *)
+      if Sepsat_obs.Obs.enabled () then
+        Sepsat_obs.Obs.record
+          ~data:[ ("trans_constraints", string_of_int t.n_trans) ]
+          Sepsat_obs.Obs.Progress "eij.progress"
     end
   in
   (* Live edges of [vec], newest first, where [other] names the far end. *)

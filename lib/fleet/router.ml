@@ -300,10 +300,10 @@ let dispatch t (ps : psolve) =
     in
     Hashtbl.replace t.pending wire
       { pd_backend = b; pd_kind = K_solve ps };
-    Flight.record ~rid:ps.ps_rid
+    Obs.record ~rid:ps.ps_rid
       ~dur_ms:((sent_mono -. ps.ps_parsed_mono) *. 1000.)
       ~data:[ ("backend", string_of_int b) ]
-      Flight.Span "hop.router_queue";
+      Obs.Span "hop.router_queue";
     (match t.bconns.(b) with
     | Some conn ->
       Lineconn.enqueue conn
@@ -325,9 +325,9 @@ let redispatch t wire (ps : psolve) =
     (* The re-dispatched request keeps its original rid (ps_rq still
        carries the minted trace context), so the trace shows one request
        crossing two backends rather than two requests. *)
-    Flight.record ~rid:ps.ps_rid
+    Obs.record ~rid:ps.ps_rid
       ~data:[ ("attempt", string_of_int (List.length ps.ps_tried)) ]
-      Flight.Event "fleet.redispatch";
+      Obs.Event "fleet.redispatch";
     dispatch t ps
   end
 
@@ -669,7 +669,7 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
     | Ok formula -> (
       let parsed_mono = Clock.mono_now () in
       let parse_ms = (parsed_mono -. recv_mono) *. 1000. in
-      Flight.record ~rid ~dur_ms:parse_ms Flight.Span "hop.router_parse";
+      Obs.record ~rid ~dur_ms:parse_ms Obs.Span "hop.router_parse";
       Metrics.observe ~rid (Lazy.force m_hop_parse) (parse_ms /. 1000.);
       let digest = Ast.digest formula in
       let key = digest ^ "|" ^ Protocol.method_to_wire rq.Protocol.sq_method in
@@ -685,9 +685,9 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
         let send_wall, send_mono = Clock.pair () in
         let ms = (send_mono -. recv_mono) *. 1000. in
         Window.add ~rid t.lat ms;
-        Flight.record ~rid ~dur_ms:ms
+        Obs.record ~rid ~dur_ms:ms
           ~data:[ ("served_by", "cache") ]
-          Flight.Span "fleet.request";
+          Obs.Span "fleet.request";
         reply_client t cl_id
           (Protocol.Ok_solve
              {
@@ -851,12 +851,12 @@ let handle_backend_reply t b reply =
            a.ha_shard_queue <- a.ha_shard_queue +. shard_queue_ms;
            a.ha_solve <- a.ha_solve +. shard_solve_ms;
            a.ha_reply <- a.ha_reply +. reply_ms);
-        Flight.record ~rid ~dur_ms:wire_ms
+        Obs.record ~rid ~dur_ms:wire_ms
           ~data:[ ("backend", string_of_int b) ]
-          Flight.Span "hop.wire";
-        Flight.record ~rid ~dur_ms:ms
+          Obs.Span "hop.wire";
+        Obs.record ~rid ~dur_ms:ms
           ~data:[ ("served_by", served_by) ]
-          Flight.Span "fleet.request";
+          Obs.Span "fleet.request";
         let trace =
           {
             Protocol.rt_rid = rid;
@@ -1031,12 +1031,11 @@ let run cfg sup =
   in
   let prev_term = (try Some (Sys.signal Sys.sigterm handle_term) with _ -> None) in
   let prev_int = (try Some (Sys.signal Sys.sigint handle_term) with _ -> None) in
-  Metrics.set_always_on true;
-  (* The router is an observability citizen like any shard: its flight
-     ring holds the router-side hop spans an assembled cross-process
-     trace needs, and its metric series carry the label the metrics
-     merge has always documented. *)
-  Flight.enable ();
+  (* The router is an observability citizen like any shard: its store
+     holds the router-side hop spans an assembled cross-process trace
+     needs, its counters move, and its metric series carry the label the
+     metrics merge has always documented. *)
+  if not (Obs.enabled ()) then Obs.enable ~capacity:4096 ();
   if Prom.const_label "backend" = None then
     Prom.set_const_labels [ ("backend", "router") ];
   let store = Option.map (fun path -> Disk_cache.open_ ~path) cfg.rc_cache_path in

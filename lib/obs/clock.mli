@@ -14,4 +14,5 @@ val mono_now : unit -> float
 val pair : unit -> float * float
 (** [(wall, mono)] sampled from one wall reading, so the pair pins this
     process's mono timeline to the shared wall timeline at one instant.
-    Flight-dump headers carry one; {!Flight.assemble} aligns with it. *)
+    Every {!Obs} record and flight-dump header carries one;
+    {!Flight.assemble} aligns with it. *)

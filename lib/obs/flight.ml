@@ -1,151 +1,55 @@
-(* Always-on flight recorder: a bounded ring of recent span completions,
-   log lines and solver-progress snapshots per domain, kept even when full
-   tracing is off, so a wedged or slow server can be debugged *after the
-   fact* — dump on SIGUSR1, on crash, on deadline expiry, or via the
-   serve protocol's [dump] op.
-
-   Concurrency contract. Writers follow the Obs ring discipline: each
-   domain owns its ring through DLS, so recording is a plain array store
-   with no synchronization; only ring registration takes the global mutex.
-   Records are immutable OCaml blocks stored through a single pointer
-   write into an ['a option array], so a reader that races a writer sees
-   either the old record or the new one, never a torn mix — this is what
-   makes dumping a *live* server safe, and what test/test_flight.ml's
-   qcheck battery checks. The [count] field may lag the data array during
-   a race; readers only use it to bound how much they scan, so the worst
-   case is a dump missing the very newest records. *)
-
-type kind = Span | Log | Progress | Event
-
-let kind_name = function
-  | Span -> "span"
-  | Log -> "log"
-  | Progress -> "progress"
-  | Event -> "event"
-
-type record = {
-  fr_ts : float;  (* completion wall-clock time *)
-  fr_mono : float;  (* same instant on this process's Clock.mono_now *)
-  fr_tid : int;
-  fr_rid : string;  (* "" when outside any request *)
-  fr_kind : kind;
-  fr_name : string;
-  fr_dur_ms : float;  (* 0 for point records *)
-  fr_data : (string * string) list;
-}
-
-type ring = {
-  r_tid : int;
-  r_gen : int;
-  data : record option array;
-  mutable count : int;  (* total records; the ring holds the last [cap] *)
-}
-
-let default_capacity = 4096
-
-let enabled_ = Atomic.make false
-
-let capacity_ = Atomic.make default_capacity
-
-let generation = Atomic.make 0
-
-let registry : ring list ref = ref []
-
-let registry_mu = Mutex.create ()
-
-let enabled () = Atomic.get enabled_
-
-let fresh_ring () =
-  let r =
-    {
-      r_tid = (Domain.self () :> int);
-      r_gen = Atomic.get generation;
-      data = Array.make (max 16 (Atomic.get capacity_)) None;
-      count = 0;
-    }
-  in
-  Mutex.protect registry_mu (fun () -> registry := r :: !registry);
-  r
-
-let key = Domain.DLS.new_key fresh_ring
-
-let ring () =
-  let r = Domain.DLS.get key in
-  if r.r_gen = Atomic.get generation then r
-  else begin
-    let r = fresh_ring () in
-    Domain.DLS.set key r;
-    r
-  end
-
-let enable ?(capacity = default_capacity) () =
-  Atomic.set capacity_ capacity;
-  Atomic.set enabled_ true
-
-let disable () = Atomic.set enabled_ false
-
-let reset () =
-  Mutex.protect registry_mu (fun () -> registry := []);
-  Atomic.incr generation
-
-let record ?rid ?(dur_ms = 0.) ?(data = []) kind name =
-  if Atomic.get enabled_ then begin
-    let rid = match rid with Some r -> r | None -> Trace_ctx.rid () in
-    let r = ring () in
-    let wall, mono = Clock.pair () in
-    let rec_ =
-      {
-        fr_ts = wall;
-        fr_mono = mono;
-        fr_tid = r.r_tid;
-        fr_rid = rid;
-        fr_kind = kind;
-        fr_name = name;
-        fr_dur_ms = dur_ms;
-        fr_data = data;
-      }
-    in
-    r.data.(r.count mod Array.length r.data) <- Some rec_;
-    r.count <- r.count + 1
-  end
-
-(* -- Collection ----------------------------------------------------------- *)
-
-let ring_records r =
-  (* Scan the whole array rather than trusting [count]'s ordering: a live
-     writer may be mid-overwrite, and every slot holds either None or a
-     complete record. *)
-  Array.to_list r.data |> List.filter_map Fun.id
-
-let records () =
-  let rings = Mutex.protect registry_mu (fun () -> !registry) in
-  List.concat_map ring_records rings
-  |> List.stable_sort (fun a b ->
-         match Float.compare a.fr_ts b.fr_ts with
-         | 0 -> compare a.fr_tid b.fr_tid
-         | c -> c)
-
-let dropped () =
-  let rings = Mutex.protect registry_mu (fun () -> !registry) in
-  List.fold_left
-    (fun acc r -> acc + max 0 (r.count - Array.length r.data))
-    0 rings
-
-(* -- JSON dump ------------------------------------------------------------ *)
+(* Views over the Obs store that leave the process: the flight dump (on
+   SIGUSR1, on crash, on deadline expiry, or via the serve protocol's
+   [dump] op), its decoder, and the Chrome trace assembler that renders
+   both this process's store ([--trace FILE]) and many processes' dumps
+   ([sufdec trace]). Reading the store while writers record is safe by
+   Obs's single-pointer-write discipline. *)
 
 module Json = Sepsat_util.Json
 
+let kind_name = function
+  | Obs.Span -> "span"
+  | Obs.Log -> "log"
+  | Obs.Progress -> "progress"
+  | Obs.Event -> "event"
+
 let kind_of_name = function
-  | "span" -> Span
-  | "log" -> Log
-  | "progress" -> Progress
-  | _ -> Event
+  | "span" -> Obs.Span
+  | "log" -> Obs.Log
+  | "progress" -> Obs.Progress
+  | _ -> Obs.Event
+
+type source = {
+  src_label : string;
+  src_pid : int;
+  src_wall : float;
+  src_mono : float;
+  src_threads : (int * string) list;
+  src_records : Obs.record list;
+}
+
+let local () =
+  let recs = Obs.records () in
+  (* The (wall, mono) pair is sampled together, after the records, so a
+     consumer can map any record's mono stamp onto the wall timeline
+     without assuming two processes' wall clocks agree — see [assemble]. *)
+  let wall, mono = Clock.pair () in
+  {
+    src_label = "sepsat";
+    src_pid = Unix.getpid ();
+    src_wall = wall;
+    src_mono = mono;
+    src_threads = Obs.thread_names ();
+    src_records = recs;
+  }
+
+(* -- JSON dump ------------------------------------------------------------ *)
 
 let num_int i = Json.Num (float_of_int i)
 
 (* Empty rid, zero duration and empty data are left out; [source_of_json]
    restores exactly those defaults. *)
-let record_json r =
+let record_json (r : Obs.record) =
   let opt cond kv = if cond then [ kv ] else [] in
   Json.Obj
     ([
@@ -161,39 +65,27 @@ let record_json r =
         ("data", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.fr_data)))
 
 let to_json () =
-  let recs = records () in
-  (* The (wall, mono) pair is sampled together so a consumer can map any
-     record's mono stamp onto the wall timeline without assuming the two
-     processes' wall clocks agree — see [assemble]. *)
-  let wall, mono = Clock.pair () in
+  let s = local () in
   Json.Obj
     [
       ("schema", Json.Str "sepsat-flight-1");
-      ("pid", num_int (Unix.getpid ()));
-      ("dumped_at", Json.Num wall);
-      ("wall", Json.Num wall);
-      ("mono", Json.Num mono);
-      ("dropped", num_int (dropped ()));
-      ("records", Json.Arr (List.map record_json recs));
+      ("pid", num_int s.src_pid);
+      ("dumped_at", Json.Num s.src_wall);
+      ("wall", Json.Num s.src_wall);
+      ("mono", Json.Num s.src_mono);
+      ("dropped", num_int (Obs.dropped ()));
+      ("records", Json.Arr (List.map record_json s.src_records));
     ]
 
-let write path =
+let write_text path text =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Json.to_string (to_json ()));
+      output_string oc text;
       output_char oc '\n')
 
-(* -- Cross-process assembly ----------------------------------------------- *)
-
-type source = {
-  src_label : string;
-  src_pid : int;
-  src_wall : float;
-  src_mono : float;
-  src_records : record list;
-}
+let write path = write_text path (Json.to_string (to_json ()))
 
 (* Dumps predating the wall/mono header pair (or the per-record mono
    stamp) fall back to raw wall time, per the documented compat rule. *)
@@ -209,7 +101,7 @@ let source_of_json ~label j =
       let ts = Option.value ~default:0. (num "ts" r) in
       Some
         {
-          fr_ts = ts;
+          Obs.fr_ts = ts;
           fr_mono = Option.value ~default:ts (num "mono" r);
           fr_tid = Option.value ~default:0 (Json.mem_int "tid" r);
           fr_rid = Option.value ~default:"" (Json.mem_str "rid" r);
@@ -232,49 +124,77 @@ let source_of_json ~label j =
     src_pid = Option.value ~default:0 (Json.mem_int "pid" j);
     src_wall = wall;
     src_mono = Option.value ~default:wall (num "mono" j);
+    src_threads = [];
     src_records =
       (match Json.member "records" j with
       | Some (Json.Arr rs) -> List.filter_map record rs
       | _ -> []);
   }
 
-(* One Chrome trace from many processes' flight dumps. Each source's
-   (wall, mono) header pair pins its mono timeline to the shared wall
-   timeline; a record's absolute end time is then
+(* -- Chrome trace assembly ------------------------------------------------ *)
+
+(* The counter points of a progress record: every integer-valued field [k]
+   of a record named [ns.*] feeds track [ns.k]. *)
+let counters (r : Obs.record) =
+  let ns =
+    match String.index_opt r.fr_name '.' with
+    | Some i -> String.sub r.fr_name 0 i
+    | None -> r.fr_name
+  in
+  List.filter_map
+    (fun (k, v) ->
+      Option.map (fun n -> (ns ^ "." ^ k, n)) (int_of_string_opt v))
+    r.fr_data
+
+(* One Chrome trace from many sources. Each source's (wall, mono) header
+   pair pins its mono timeline to the shared wall timeline; a record's
+   absolute end time is then
 
      src_wall -. (src_mono -. fr_mono)
 
    which only ever subtracts mono readings from the *same* process —
-   immune to wall-clock skew between router and shards. Spans become
-   "X" (complete) events ending at that instant; point records become
-   thread-scoped instants. One Chrome pid per source, named via
-   process_name metadata, gives the lane-per-process view. *)
+   immune to wall-clock skew between router and shards. Spans become "X"
+   (complete) events ending at that instant; progress records become "C"
+   counter points and the other point records thread-scoped instants. One
+   Chrome pid per source, named via process_name metadata, gives the
+   lane-per-process view; thread_name metadata names its domains. *)
 let assemble ?rid sources =
-  let keep r = match rid with None -> true | Some id -> r.fr_rid = id in
-  let abs_end src r = src.src_wall -. (src.src_mono -. r.fr_mono) in
+  let keep (r : Obs.record) =
+    match rid with None -> true | Some id -> r.fr_rid = id
+  in
+  let abs_end src (r : Obs.record) =
+    src.src_wall -. (src.src_mono -. r.fr_mono)
+  in
   let origin =
     List.fold_left
       (fun acc src ->
         List.fold_left
-          (fun acc r ->
+          (fun acc (r : Obs.record) ->
             if keep r then Float.min acc (abs_end src r -. (r.fr_dur_ms /. 1e3))
             else acc)
           acc src.src_records)
       Float.infinity sources
   in
   let origin = if origin = Float.infinity then 0. else origin in
+  let meta name pid tid label =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("ph", Json.Str "M");
+        ("pid", num_int pid);
+        ("tid", num_int tid);
+        ("args", Json.Obj [ ("name", Json.Str label) ]);
+      ]
+  in
   let lanes =
-    List.mapi
-      (fun pid src ->
-        Json.Obj
-          [
-            ("name", Json.Str "process_name");
-            ("ph", Json.Str "M");
-            ("pid", num_int pid);
-            ("tid", Json.Num 0.);
-            ("args", Json.Obj [ ("name", Json.Str src.src_label) ]);
-          ])
-      sources
+    List.concat
+      (List.mapi
+         (fun pid src ->
+           meta "process_name" pid 0 src.src_label
+           :: List.map
+                (fun (tid, n) -> meta "thread_name" pid tid n)
+                src.src_threads)
+         sources)
   in
   (* Flatten, tag with the source lane, and sort by start time so the
      event stream reads in causal order. *)
@@ -283,7 +203,7 @@ let assemble ?rid sources =
       (List.mapi
          (fun pid src ->
            List.filter_map
-             (fun r ->
+             (fun (r : Obs.record) ->
                if keep r then
                  let start_us =
                    (abs_end src r -. origin) *. 1e6 -. (r.fr_dur_ms *. 1e3)
@@ -294,37 +214,58 @@ let assemble ?rid sources =
          sources)
     |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
   in
-  let event (start_us, pid, r) =
-    let phase =
-      if r.fr_dur_ms > 0. then
-        [ ("ph", Json.Str "X"); ("dur", Json.Num (r.fr_dur_ms *. 1e3)) ]
-      else [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+  let event (start_us, pid, (r : Obs.record)) =
+    let head name ph =
+      [
+        ("name", Json.Str name);
+        ("ph", Json.Str ph);
+        ("pid", num_int pid);
+        ("tid", num_int r.fr_tid);
+        ("ts", Json.Num start_us);
+      ]
     in
-    Json.Obj
-      ([
-         ("name", Json.Str r.fr_name);
-         ("cat", Json.Str (kind_name r.fr_kind));
-         ("pid", num_int pid);
-         ("tid", num_int r.fr_tid);
-         ("ts", Json.Num start_us);
-       ]
-      @ phase
-      @ [
-          ( "args",
-            Json.Obj
-              (("rid", Json.Str r.fr_rid)
-              :: List.map (fun (k, v) -> ("data." ^ k, Json.Str v)) r.fr_data)
-          );
-        ])
+    match r.fr_kind with
+    | Obs.Progress ->
+      List.map
+        (fun (track, n) ->
+          Json.Obj
+            (head track "C"
+            @ [ ("args", Json.Obj [ ("value", num_int n) ]) ]))
+        (counters r)
+    | Obs.Span | Obs.Log | Obs.Event ->
+      let phase =
+        if r.fr_kind = Obs.Span then
+          head r.fr_name "X" @ [ ("dur", Json.Num (r.fr_dur_ms *. 1e3)) ]
+        else head r.fr_name "i" @ [ ("s", Json.Str "t") ]
+      in
+      let cat =
+        Option.value ~default:(kind_name r.fr_kind)
+          (List.assoc_opt "cat" r.fr_data)
+      in
+      [
+        Json.Obj
+          (phase
+          @ [
+              ("cat", Json.Str cat);
+              ( "args",
+                Json.Obj
+                  (("rid", Json.Str r.fr_rid)
+                  :: List.map
+                       (fun (k, v) -> ("data." ^ k, Json.Str v))
+                       r.fr_data) );
+            ]);
+      ]
   in
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.Arr (lanes @ List.map event events));
+         ("traceEvents", Json.Arr (lanes @ List.concat_map event events));
          ("displayTimeUnit", Json.Str "ms");
        ])
 
-(* -- Dump management ------------------------------------------------------ *)
+let write_trace path = write_text path (assemble [ local () ])
+
+(* -- Dump triggers -------------------------------------------------------- *)
 
 let dump_dir = Atomic.make "."
 

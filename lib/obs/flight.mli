@@ -1,61 +1,16 @@
-(** Always-on flight recorder: bounded per-domain rings of recent span
-    completions, log lines and solver-progress snapshots, dumpable as JSON
-    at any moment — on SIGUSR1, on crash, on per-request deadline expiry,
-    or through the serve protocol's [dump] op. Post-hoc debugging of a
-    wedged server without tracing pre-enabled.
+(** Views over the {!Obs} store that leave the process: the flight dump,
+    its decoder, the Chrome trace assembler and the dump triggers.
 
-    Recording follows {!Obs}'s ring discipline (domain-owned rings via
-    DLS, registration under one mutex) and stores each record with a
-    single pointer write of an immutable block, so concurrent dumps never
-    observe a torn record. A disabled {!record} costs one atomic load and
-    a branch. *)
-
-type kind = Span | Log | Progress | Event
-
-type record = {
-  fr_ts : float;  (** completion wall-clock time *)
-  fr_mono : float;  (** the same instant on this process's {!Clock.mono_now} *)
-  fr_tid : int;  (** recording domain id *)
-  fr_rid : string;  (** request id; [""] outside any request *)
-  fr_kind : kind;
-  fr_name : string;
-  fr_dur_ms : float;  (** span duration in ms; [0.] for point records *)
-  fr_data : (string * string) list;  (** extra key/value payload *)
-}
-
-val enabled : unit -> bool
-
-val enable : ?capacity:int -> unit -> unit
-(** Start recording. [capacity] is the per-domain ring size in records
-    (default 4096); on overflow the oldest records are overwritten and
-    counted in {!dropped}. The serve engine enables this at startup. *)
-
-val disable : unit -> unit
-
-val reset : unit -> unit
-(** Drop every recorded ring. The enabled flag is unchanged. *)
-
-val record :
-  ?rid:string ->
-  ?dur_ms:float ->
-  ?data:(string * string) list ->
-  kind ->
-  string ->
-  unit
-(** [record kind name] appends one record to the calling domain's ring.
-    [rid] defaults to the ambient {!Trace_ctx.rid}. No-op (one atomic
-    load) when disabled. *)
-
-val records : unit -> record list
-(** Every live record across all domains, sorted by timestamp. Safe to
-    call while writers are recording; records written concurrently with
-    the call may be missed or appear out of ring order, never torn. *)
-
-val dropped : unit -> int
-(** Records lost to ring overwrite since the last {!reset}. *)
+    A dump is the whole store as one JSON document, taken at any moment —
+    on SIGUSR1, on crash, on per-request deadline expiry, or through the
+    serve protocol's [dump] op — so a wedged or slow server can be
+    debugged after the fact without tracing pre-enabled. Servers keep the
+    store on at a small capacity for exactly this. The same assembler
+    renders [--trace FILE] (this process's store, one source) and
+    [sufdec trace] (many processes' dumps, one lane each). *)
 
 val to_json : unit -> Sepsat_util.Json.t
-(** The full recorder state as one JSON document
+(** The store as one JSON document
     [{"schema": "sepsat-flight-1", "pid", "dumped_at", "wall", "mono",
     "dropped", "records": [...]}]. [wall] and [mono] are one
     {!Clock.pair} sampled at dump time — the anchor {!assemble} uses to
@@ -63,38 +18,53 @@ val to_json : unit -> Sepsat_util.Json.t
     carries [ts], [mono], [tid], [kind] and [name], plus [rid], [dur_ms]
     and [data] (an object of strings) when they are not empty or zero. *)
 
-(** {1 Cross-process assembly} *)
+val write : string -> unit
+(** Write {!to_json} (plus a trailing newline) to a file. *)
+
+(** {1 Sources and assembly} *)
 
 type source = {
   src_label : string;  (** Chrome lane (process) name, e.g. ["router"] *)
   src_pid : int;  (** the dumping process's OS pid (informational) *)
   src_wall : float;  (** dump-header [wall] *)
   src_mono : float;  (** dump-header [mono], paired with [src_wall] *)
-  src_records : record list;
+  src_threads : (int * string) list;
+      (** domain id -> {!Obs.name_thread} label; [[]] for decoded dumps *)
+  src_records : Obs.record list;
 }
-(** One process's flight dump, decoded. For dumps predating the header
-    pair, set [src_mono = src_wall] and each record's [fr_mono = fr_ts]
-    — alignment degrades to raw wall time, exactly the old behaviour. *)
+(** One process's store, live ({!local}) or decoded from a dump. For dumps
+    predating the header pair, [src_mono = src_wall] and each record's
+    [fr_mono = fr_ts] — alignment degrades to raw wall time. *)
+
+val local : unit -> source
+(** This process's store as a source, labelled ["sepsat"]. *)
 
 val source_of_json : label:string -> Sepsat_util.Json.t -> source
 (** Decode a {!to_json} document. [source_of_json ~label (to_json ())]
     returns every record with the same fields, floats bit for bit, and
     the header's [wall]/[mono] pair. A dump without the header pair falls
     back to [dumped_at] for both, and a record without [mono] to its [ts],
-    as described for {!source}. Missing fields take the defaults {!to_json}
-    omits ([""], [0.], [[]]); unknown kinds decode as [Event]. *)
+    as described for {!source}. Missing fields take the defaults
+    {!to_json} omits ([""], [0.], [[]]); unknown kinds decode as
+    [Event]. *)
 
 val assemble : ?rid:string -> source list -> string
-(** Merge many processes' flight records into one Chrome trace document
-    (catapult JSON, one [pid] lane per source, named by [src_label]).
-    Spans become ["X"] complete events; point records become instants.
-    Record times are aligned onto one timeline via each source's
-    wall/mono anchor pair, so only same-process mono differences are
-    ever taken — correct even when the processes' wall clocks disagree.
-    [rid] keeps only records of that request. *)
+(** Merge sources into one Chrome trace document (catapult JSON, one
+    [pid] lane per source, named by [src_label], with a [thread_name]
+    per named domain). Spans become ["X"] complete events and log and
+    event records ["i"] instants, each with its rid in [args]. Every
+    integer-valued data field [k] of a [Progress] record named [ns.*]
+    becomes a point on the ["C"] counter track [ns.k] (so
+    [sat.conflicts], [sat.learnts], [eij.trans_constraints]). Record
+    times are aligned onto one timeline via each source's wall/mono
+    anchor pair, so only same-process mono differences are ever taken —
+    correct even when the processes' wall clocks disagree. [rid] keeps
+    only records of that request. *)
 
-val write : string -> unit
-(** Write {!to_json} (plus a trailing newline) to a file. *)
+val write_trace : string -> unit
+(** Write [assemble [local ()]] to a file: the [--trace FILE] view. *)
+
+(** {1 Dump triggers} *)
 
 val set_dump_dir : string -> unit
 (** Directory for {!dump} files (default ["."]). *)

@@ -78,8 +78,8 @@ let level_name = function
   | Obs.Info -> "info"
   | Obs.Debug -> "debug"
 
-(* The rid the flight recorder should file a log record under: an explicit
-   "rid" field wins, then the ambient log context; otherwise Flight falls
+(* The rid the store should file a log record under: an explicit "rid"
+   field wins, then the ambient log context; otherwise Obs.record falls
    back to Trace_ctx. *)
 let field_rid fields =
   let pick fs =
@@ -89,24 +89,24 @@ let field_rid fields =
   | Some _ as r -> r
   | None -> pick (Domain.DLS.get ctx_key)
 
-(* Flight payloads are strings: a string field as is, anything else as
+(* Record payloads are strings: a string field as is, anything else as
    its JSON text. *)
 let value_string = function S s -> s | v -> Json.to_string (to_json v)
 
 let event ?(level = Obs.Info) name fields =
-  (* Emitted lines also land in the flight recorder (when that is on) even
-     if the log sink itself is disabled — a server run without --log-json
-     still has its recent request history in a flight dump. *)
+  (* Emitted lines also land in the store (when that is on) even if the
+     log sink itself is disabled — a server run without --log-json still
+     has its recent request history in a flight dump. *)
   let to_sink =
     Atomic.get enabled_ && level <> Obs.Quiet
     && rank level <= rank (Atomic.get level_)
   in
-  let to_flight = Flight.enabled () && level <> Obs.Quiet in
-  if to_sink || to_flight then begin
-    if to_flight then
-      Flight.record ?rid:(field_rid fields)
+  let to_store = Obs.enabled () && level <> Obs.Quiet in
+  if to_sink || to_store then begin
+    if to_store then
+      Obs.record ?rid:(field_rid fields)
         ~data:(List.map (fun (k, v) -> (k, value_string v)) fields)
-        Flight.Log name;
+        Obs.Log name;
     if to_sink then begin
       (* Ambient context after the explicit fields; a context key shadowed
          by an explicit field is dropped so lookups (first occurrence wins)

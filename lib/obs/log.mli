@@ -34,9 +34,10 @@ val event : ?level:Obs.level -> string -> field list -> unit
     [{"ts":…, "level":…, "event":name, …fields, …ambient}]. Ambient
     context fields (see {!with_fields}) are appended unless shadowed by an
     explicit field of the same key. [~level:Quiet] events are never
-    emitted. When the {!Flight} recorder is on, every non-Quiet event is
-    also recorded there (regardless of {!enabled} and the level
-    threshold), filed under the explicit or ambient ["rid"] field. *)
+    emitted. When the {!Obs} store is on, every non-Quiet event is also
+    recorded there as a [Log] record (regardless of {!enabled} and the
+    level threshold), filed under the explicit or ambient ["rid"]
+    field. *)
 
 val with_fields : field list -> (unit -> 'a) -> 'a
 (** Push ambient fields for the calling domain for the duration of the

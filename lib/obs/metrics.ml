@@ -82,27 +82,17 @@ let rec atomic_add_float cell x =
   if not (Atomic.compare_and_set cell old (old +. x)) then
     atomic_add_float cell x
 
-(* Updates are normally gated on [Obs.enabled] so the pipeline's hot paths
-   pay one load and a branch when tracing is off. A long-lived server is
-   the exception: its operational counters must move in a default run or
-   the metrics surfaces lie, so the serving engine flips [always_] and
-   updates flow regardless of tracing. *)
-let always_ = Atomic.make false
+(* Updates are gated on the store's switch so the pipeline's hot paths
+   pay one load and a branch when it is off. A long-lived server turns the
+   store on at startup, so its operational counters move in a default run. *)
+let incr c = if Obs.enabled () then ignore (Atomic.fetch_and_add c 1)
 
-let set_always_on b = Atomic.set always_ b
+let add c k = if Obs.enabled () then ignore (Atomic.fetch_and_add c k)
 
-let always_on () = Atomic.get always_
-
-let on () = Obs.enabled () || Atomic.get always_
-
-let incr c = if on () then ignore (Atomic.fetch_and_add c 1)
-
-let add c k = if on () then ignore (Atomic.fetch_and_add c k)
-
-let set g v = if on () then Atomic.set g v
+let set g v = if Obs.enabled () then Atomic.set g v
 
 let observe ?rid h v =
-  if on () then begin
+  if Obs.enabled () then begin
     let i = ref 0 in
     let nb = Array.length h.bounds in
     while !i < nb && v > h.bounds.(!i) do

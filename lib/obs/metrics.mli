@@ -4,10 +4,10 @@
     Registration ([{!counter}], [{!gauge}], [{!histogram}]) is idempotent by
     name and takes a global mutex; keep the handle (or register under
     [lazy]) rather than re-looking up on a hot path. Updates are lock-free
-    (atomics) and domain-safe, and like the event stream they are normally
-    gated on {!Obs.enabled}: a disabled-mode update is one atomic load and a
-    branch. Long-lived servers flip {!set_always_on} so their operational
-    counters move even when tracing is off.
+    (atomics) and domain-safe, and gated on {!Obs.enabled}, the store's one
+    switch: a disabled-mode update is one atomic load and a branch.
+    Long-lived servers turn the store on at startup, so their operational
+    counters always move.
 
     Reads ({!snapshot}, {!to_json}) are meant for end-of-run reporting; they
     see a consistent-enough view once updating domains have quiesced. *)
@@ -52,13 +52,6 @@ val exemplars : histogram -> (float * exemplar) list
     has one, the [+inf] bucket (bound [infinity]) last. *)
 
 val get : counter -> int
-
-val set_always_on : bool -> unit
-(** When [true], updates flow regardless of {!Obs.enabled}. Meant for the
-    serving engine, whose metrics surfaces must stay live in default runs;
-    batch pipelines leave it [false] so disabled-mode updates stay free. *)
-
-val always_on : unit -> bool
 
 (** {2 Reporting} *)
 

@@ -1,50 +1,44 @@
-(* Off-by-default tracing with per-domain ring buffers.
+(* The event store: off by default, one ring of records per domain.
 
-   Hot-path discipline: every public emission function first loads one
+   Hot-path discipline: every public recording function first loads one
    atomic ([enabled_]) and returns when unset — instrumented code pays a
-   load and a branch, nothing else. When enabled, the emitting domain owns
-   its ring buffer (reached through domain-local storage), so pushes are
-   plain mutations with no synchronization; only ring *registration* (once
-   per domain per generation) takes the global mutex. Readers merge the
-   rings after the writers have quiesced. *)
+   load and a branch, nothing else. When on, the recording domain owns its
+   ring (reached through domain-local storage), so a record is a plain
+   array store with no synchronization; only ring *registration* (once per
+   domain per generation) takes the global mutex.
 
-type event =
-  | Span of {
-      name : string;
-      cat : string;
-      ts : float;
-      dur : float;
-      tid : int;
-      rid : string;  (* ambient request id at capture; "" outside requests *)
-    }
-  | Instant of {
-      name : string;
-      cat : string;
-      ts : float;
-      tid : int;
-      rid : string;
-    }
-  | Sample of { name : string; ts : float; value : float; tid : int }
+   Records are immutable blocks stored through a single pointer write into
+   a [record option array], so a reader racing a writer sees either the old
+   record or the new one, never a torn mix — this is what makes dumping a
+   *live* server safe, and what test/test_flight.ml's qcheck battery
+   checks. [count] may lag the array during a race; readers only use it to
+   order the scan, so the worst case is a read missing the newest record. *)
 
-let event_ts = function
-  | Span { ts; _ } | Instant { ts; _ } | Sample { ts; _ } -> ts
+type kind = Span | Log | Progress | Event
 
-let event_tid = function
-  | Span { tid; _ } | Instant { tid; _ } | Sample { tid; _ } -> tid
-
-let dummy_event = Instant { name = ""; cat = ""; ts = 0.; tid = 0; rid = "" }
+type record = {
+  fr_ts : float;
+  fr_mono : float;
+  fr_tid : int;
+  fr_rid : string;  (* "" when outside any request *)
+  fr_kind : kind;
+  fr_name : string;
+  fr_dur_ms : float;  (* 0 for point records *)
+  fr_data : (string * string) list;
+}
 
 type ring = {
   r_tid : int;
   r_gen : int;
-  data : event array;
-  mutable count : int;  (* total pushes; the ring holds the last [cap] *)
-  mutable last : float;  (* monotone clamp for this domain's captures *)
+  data : record option array;
+  mutable count : int;  (* total records; the ring holds the last [cap] *)
 }
+
+let default_capacity = 65536
 
 let enabled_ = Atomic.make false
 
-let capacity_ = Atomic.make 65536
+let capacity_ = Atomic.make default_capacity
 
 let generation = Atomic.make 0
 
@@ -63,9 +57,8 @@ let fresh_ring () =
     {
       r_tid = (Domain.self () :> int);
       r_gen = Atomic.get generation;
-      data = Array.make (max 16 (Atomic.get capacity_)) dummy_event;
+      data = Array.make (max 16 (Atomic.get capacity_)) None;
       count = 0;
-      last = 0.;
     }
   in
   Mutex.protect registry_mu (fun () -> registry := r :: !registry);
@@ -84,20 +77,7 @@ let ring () =
     r
   end
 
-(* Wall clock filtered to be non-decreasing per domain, so capture order is
-   timestamp order even across system clock steps — the invariant that makes
-   span sets well-nested by construction. *)
-let mono_now r =
-  let t = Unix.gettimeofday () in
-  if t > r.last then r.last <- t;
-  r.last
-
-let push r e =
-  let cap = Array.length r.data in
-  r.data.(r.count mod cap) <- e;
-  r.count <- r.count + 1
-
-let enable ?(capacity = 65536) () =
+let enable ?(capacity = default_capacity) () =
   Atomic.set capacity_ capacity;
   Atomic.set enabled_ true
 
@@ -131,52 +111,39 @@ let log lvl fmt =
     Printf.eprintf (fmt ^^ "\n%!")
   else Printf.ifprintf stderr (fmt ^^ "\n%!")
 
-(* -- Emission ------------------------------------------------------------ *)
+(* -- Recording ----------------------------------------------------------- *)
 
-(* Spans feed two collectors: the full-fidelity trace ring when tracing is
-   enabled, and the bounded flight recorder when that is enabled (servers
-   keep it always-on). Both share the Trace_ctx span path, so a flight
-   record knows where in the request tree it completed. Idle cost with both
-   collectors off is two atomic loads and a branch. *)
+let push ~rid ~wall ~mono ~dur_ms ~data kind name =
+  let r = ring () in
+  r.data.(r.count mod Array.length r.data) <-
+    Some
+      {
+        fr_ts = wall;
+        fr_mono = mono;
+        fr_tid = r.r_tid;
+        fr_rid = rid;
+        fr_kind = kind;
+        fr_name = name;
+        fr_dur_ms = dur_ms;
+        fr_data = data;
+      };
+  r.count <- r.count + 1
 
-let flight_span ~rid ~cat name dur =
-  if Flight.enabled () then begin
-    let path = Trace_ctx.path_string () in
-    let data = if cat = "" then [] else [ ("cat", cat) ] in
-    let data = if path = "" || path = name then data else ("path", path) :: data in
-    Flight.record ~rid ~dur_ms:(dur *. 1000.) ~data Flight.Span name
+let record ?rid ?(dur_ms = 0.) ?(data = []) kind name =
+  if Atomic.get enabled_ then begin
+    let rid = match rid with Some r -> r | None -> Trace_ctx.rid () in
+    let wall, mono = Clock.pair () in
+    push ~rid ~wall ~mono ~dur_ms ~data kind name
   end
 
-let span ?(cat = "") name f =
-  let obs_on = Atomic.get enabled_ in
-  if not (obs_on || Flight.enabled ()) then f ()
-  else begin
-    let rid = Trace_ctx.rid () in
-    Trace_ctx.push name;
-    let t0 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-    let finish () =
-      (* Re-fetch: a reset during [f] swapped the ring underneath us. *)
-      let t1 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-      let dur = Float.max 0. (t1 -. t0) in
-      if obs_on then begin
-        let r = ring () in
-        push r (Span { name; cat; ts = t0; dur; tid = r.r_tid; rid })
-      end;
-      flight_span ~rid ~cat name dur;
-      Trace_ctx.pop ()
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
+let cat_data cat = if cat = "" then [] else [ ("cat", cat) ]
 
+(* One implementation behind [span] and [timed]. The span path is read
+   before the pop, so it includes [name]; a root span's trivial path is
+   left out. The duration is a difference of two [Clock] readings, which
+   the process-wide clamp keeps non-negative. *)
 let timed ?(cat = "") name f =
-  let obs_on = Atomic.get enabled_ in
-  if not (obs_on || Flight.enabled ()) then begin
+  if not (Atomic.get enabled_) then begin
     let t0 = Unix.gettimeofday () in
     let v = f () in
     (v, Float.max 0. (Unix.gettimeofday () -. t0))
@@ -184,15 +151,16 @@ let timed ?(cat = "") name f =
   else begin
     let rid = Trace_ctx.rid () in
     Trace_ctx.push name;
-    let t0 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
+    let t0 = Clock.mono_now () in
     let finish () =
-      let t1 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-      let dur = Float.max 0. (t1 -. t0) in
-      if obs_on then begin
-        let r = ring () in
-        push r (Span { name; cat; ts = t0; dur; tid = r.r_tid; rid })
-      end;
-      flight_span ~rid ~cat name dur;
+      let wall, mono = Clock.pair () in
+      let dur = mono -. t0 in
+      let path = Trace_ctx.path_string () in
+      let data =
+        if path = "" || path = name then cat_data cat
+        else ("path", path) :: cat_data cat
+      in
+      push ~rid ~wall ~mono ~dur_ms:(dur *. 1000.) ~data Span name;
       Trace_ctx.pop ();
       dur
     in
@@ -203,31 +171,17 @@ let timed ?(cat = "") name f =
       raise e
   end
 
-let instant ?(cat = "") name =
-  let obs_on = Atomic.get enabled_ in
-  if obs_on || Flight.enabled () then begin
-    let rid = Trace_ctx.rid () in
-    if obs_on then begin
-      let r = ring () in
-      push r (Instant { name; cat; ts = mono_now r; tid = r.r_tid; rid })
-    end;
-    if Flight.enabled () then
-      Flight.record ~rid
-        ~data:(if cat = "" then [] else [ ("cat", cat) ])
-        Flight.Event name
-  end
+let span ?cat name f =
+  if not (Atomic.get enabled_) then f () else fst (timed ?cat name f)
 
-let sample name value =
-  if Atomic.get enabled_ then begin
-    let r = ring () in
-    push r (Sample { name; ts = mono_now r; value; tid = r.r_tid })
-  end
+let instant ?(cat = "") name =
+  if Atomic.get enabled_ then record ~data:(cat_data cat) Event name
 
 (* -- Thread naming ------------------------------------------------------- *)
 
 (* Unconditional (no [enabled_] gate): lane names are consumed by the
-   flight recorder, the engine's live lane table and exported traces alike,
-   and pools name their workers once per spawn — off the hot path. *)
+   views and the engine's live lane table alike, and pools name their
+   workers once per spawn — off the hot path. *)
 let name_thread name =
   let tid = (Domain.self () :> int) in
   Mutex.protect names_mu (fun () ->
@@ -238,18 +192,20 @@ let thread_names () =
 
 (* -- Collection ---------------------------------------------------------- *)
 
-let ring_events r =
+(* Oldest slot first; every slot holds either None or a complete record. *)
+let ring_records r =
   let cap = Array.length r.data in
-  let n = min r.count cap in
-  let first = if r.count <= cap then 0 else r.count mod cap in
-  List.init n (fun i -> r.data.((first + i) mod cap))
+  let count = r.count in
+  let first = if count <= cap then 0 else count mod cap in
+  List.init (min count cap) (fun i -> r.data.((first + i) mod cap))
+  |> List.filter_map Fun.id
 
-let events () =
+let records () =
   let rings = Mutex.protect registry_mu (fun () -> !registry) in
-  List.concat_map ring_events rings
+  List.concat_map ring_records rings
   |> List.stable_sort (fun a b ->
-         match Float.compare (event_ts a) (event_ts b) with
-         | 0 -> compare (event_tid a) (event_tid b)
+         match Float.compare a.fr_mono b.fr_mono with
+         | 0 -> compare a.fr_tid b.fr_tid
          | c -> c)
 
 let dropped () =
@@ -267,11 +223,12 @@ type span_stat = {
   ss_max : float;
 }
 
-let span_summary evs =
+let span_summary recs =
   let tbl : (string, span_stat ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (function
-      | Span { name; dur; _ } -> (
+    (fun r ->
+      if r.fr_kind = Span then begin
+        let name = r.fr_name and dur = r.fr_dur_ms /. 1000. in
         match Hashtbl.find_opt tbl name with
         | Some s ->
           s :=
@@ -283,14 +240,14 @@ let span_summary evs =
             }
         | None ->
           Hashtbl.add tbl name
-            (ref { ss_name = name; ss_count = 1; ss_total = dur; ss_max = dur }))
-      | Instant _ | Sample _ -> ())
-    evs;
+            (ref { ss_name = name; ss_count = 1; ss_total = dur; ss_max = dur })
+      end)
+    recs;
   Hashtbl.fold (fun _ s acc -> !s :: acc) tbl []
   |> List.sort (fun a b -> Float.compare b.ss_total a.ss_total)
 
-let pp_summary ppf evs =
-  let stats = span_summary evs in
+let pp_summary ppf recs =
+  let stats = span_summary recs in
   Format.fprintf ppf "%-24s %8s %12s %12s %12s@." "span" "count" "total(s)"
     "mean(s)" "max(s)";
   List.iter

@@ -1,38 +1,47 @@
-(** Pipeline tracing: nested phase spans collected into per-domain ring
-    buffers.
+(** The event store: one bounded ring of records per domain, behind one
+    switch.
 
-    The whole subsystem is off by default and costs one atomic load per
-    collector (tracing, {!Flight}) per call site when everything is
-    disabled. When enabled ({!enable}), every emission goes to
-    a ring buffer owned by the emitting domain — no locks or cross-domain
-    writes on the hot path — so the serve engine's worker domains can trace
-    concurrently. Buffers register themselves in a global list under a mutex
-    on first use; {!events} merges them after the emitting domains have
-    quiesced (for example after [Domain.join]).
+    Everything observable about a run lands here as a {!record}: phase
+    spans ({!span}, {!timed}), point events ({!instant}), log lines
+    ({!Log.event}) and solver progress snapshots ({!Progress.tick}). The
+    consumers are views over the one store: the [--stats] rollup
+    ({!span_summary}), the Chrome trace and the flight dump ({!Flight}),
+    and the metrics gate ({!Metrics}).
 
-    Timestamps are wall-clock seconds filtered through a per-domain monotone
-    clamp, so within one domain the capture order is the timestamp order even
-    if the system clock steps backwards. Spans close in LIFO order per
-    domain, which together with the clamp makes every domain's span set
-    well-nested: two spans of one domain are either disjoint or one contains
-    the other. Export with {!Chrome_trace}. *)
+    The store is off by default and costs one atomic load per call site
+    when off. When on ({!enable}), every record goes to a ring owned by
+    the recording domain — no locks or cross-domain writes on the hot
+    path — so the serve engine's worker domains record concurrently.
+    Rings register themselves in one global list under a mutex on first
+    use.
+
+    Each record is an immutable block stored with a single pointer write
+    into a [record option array], so a reader racing a writer sees either
+    the old record or the new one, never a torn mix: {!records} is safe on
+    a live process (which the flight dump's SIGUSR1 handler relies on).
+
+    Timestamps come from one {!Clock.pair} per record; {!Clock}'s
+    process-wide clamp keeps each domain's captures monotone, and spans
+    close in LIFO order per domain, so every domain's span set is
+    well-nested. *)
 
 (** {2 Enabling} *)
 
 val enabled : unit -> bool
-(** One atomic load; every emission function returns immediately when this
-    is false. *)
+(** One atomic load; every recording function returns immediately when
+    this is false. *)
 
 val enable : ?capacity:int -> unit -> unit
-(** Start collecting. [capacity] is the per-domain ring size in events
-    (default 65536); when a ring overflows, the oldest events are dropped
-    and counted in {!dropped}. *)
+(** Start recording. [capacity] is the per-domain ring size in records
+    (default 65536, what [--trace], [--stats] and [--log-level] use;
+    servers pass 4096). Rings created after the call use it. On overflow
+    the oldest records are overwritten and counted in {!dropped}. *)
 
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Drop every collected event, ring and thread name. Collection state
-    (enabled flag, level) is unchanged. *)
+(** Drop every recorded ring and thread name. The enabled flag, capacity
+    and log level are unchanged. *)
 
 (** {2 Log levels} *)
 
@@ -47,74 +56,72 @@ val level_of_string : string -> level option
 
 val log : level -> ('a, out_channel, unit) format -> 'a
 (** [log lvl fmt ...] prints one line to stderr when the current level is at
-    least [lvl]. Independent of {!enabled}: logging is for humans, the event
-    stream for exporters. *)
+    least [lvl]. Independent of {!enabled}: logging is for humans, the store
+    for views. *)
 
-(** {2 Events} *)
+(** {2 Records} *)
 
-type event =
-  | Span of {
-      name : string;
-      cat : string;
-      ts : float;
-      dur : float;
-      tid : int;
-      rid : string;
-    }
-      (** a completed phase scope; [ts] is the begin time, [rid] the ambient
-          {!Trace_ctx.rid} at capture ([""] outside any request) *)
-  | Instant of {
-      name : string;
-      cat : string;
-      ts : float;
-      tid : int;
-      rid : string;
-    }
-  | Sample of { name : string; ts : float; value : float; tid : int }
-      (** a point on a counter track (e.g. conflicts so far) *)
+type kind = Span | Log | Progress | Event
 
-val event_ts : event -> float
+type record = {
+  fr_ts : float;  (** completion wall-clock time *)
+  fr_mono : float;  (** the same instant on this process's {!Clock.mono_now} *)
+  fr_tid : int;  (** recording domain id *)
+  fr_rid : string;  (** request id; [""] outside any request *)
+  fr_kind : kind;
+  fr_name : string;
+  fr_dur_ms : float;  (** span duration in ms; [0.] for point records *)
+  fr_data : (string * string) list;  (** extra key/value payload *)
+}
 
-val event_tid : event -> int
+val record :
+  ?rid:string ->
+  ?dur_ms:float ->
+  ?data:(string * string) list ->
+  kind ->
+  string ->
+  unit
+(** [record kind name] appends one record to the calling domain's ring.
+    [rid] defaults to the ambient {!Trace_ctx.rid}. For spans measured
+    elsewhere (the fleet's hop spans); phase scopes use {!span}. *)
 
 val span : ?cat:string -> string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f] inside a phase scope. The span is recorded when
-    [f] returns {e or raises} (the exception is re-raised), so timeouts and
-    translation blowups still leave their phase in the trace. Disabled mode
-    is a single branch around a tail call of [f]. *)
+(** [span name f] runs [f] inside a phase scope and records one [Span]
+    when [f] returns {e or raises} (the exception is re-raised), so
+    timeouts and translation blowups still leave their phase behind. The
+    record carries the ambient rid, [cat] (when not empty) and the
+    {!Trace_ctx.path} (when deeper than [name] itself) in its data. Off,
+    this is a single branch around a tail call of [f]. *)
 
 val timed : ?cat:string -> string -> (unit -> 'a) -> 'a * float
-(** Like {!span} but always measures: returns [f]'s result together with the
-    elapsed wall-clock seconds, recording the span only when enabled. For
-    callers that need the duration regardless of tracing (phase breakdowns
-    in results). On an exception the span is still recorded, then the
-    exception is re-raised. *)
+(** Like {!span} but always measures: returns [f]'s result together with
+    the elapsed seconds, recording the span only when the store is on. For
+    callers that need the duration regardless (phase breakdowns in
+    results). *)
 
 val instant : ?cat:string -> string -> unit
-
-val sample : string -> float -> unit
-(** [sample name v] records a counter-track point, e.g.
-    [sample "sat.conflicts" (float n)]. *)
+(** Record a point [Event]. *)
 
 (** {2 Thread (domain) naming} *)
 
 val name_thread : string -> unit
-(** Label the calling domain's lane in exported traces, flight dumps and the
+(** Label the calling domain's lane in Chrome traces, flight dumps and the
     engine's live lane table — worker pools and load-generator clients
-    suffix an index. Last call per domain wins.
-    Unconditional (not gated on {!enabled}). *)
+    suffix an index. Last call per domain wins. Unconditional (not gated
+    on {!enabled}). *)
 
 val thread_names : unit -> (int * string) list
+(** [(domain id, name)] pairs, sorted. *)
 
 (** {2 Collection} *)
 
-val events : unit -> event list
-(** Every recorded event across all domains, sorted by timestamp (ties by
-    domain id). Safe once emitting domains have quiesced; events emitted
-    concurrently with this call may be missed. *)
+val records : unit -> record list
+(** Every live record across all domains, sorted by mono timestamp (ties
+    by domain id, then ring order). Safe to call while writers record;
+    records written concurrently may be missed, never torn. *)
 
 val dropped : unit -> int
-(** Events lost to ring overflow since the last {!reset}. *)
+(** Records lost to ring overwrite since the last {!reset}. *)
 
 (** {2 Span rollup} *)
 
@@ -125,9 +132,9 @@ type span_stat = {
   ss_max : float;
 }
 
-val span_summary : event list -> span_stat list
-(** Per-name aggregation of the [Span] events, sorted by descending total
+val span_summary : record list -> span_stat list
+(** Per-name aggregation of the [Span] records, sorted by descending total
     duration. *)
 
-val pp_summary : Format.formatter -> event list -> unit
+val pp_summary : Format.formatter -> record list -> unit
 (** Human-readable table of {!span_summary} (the [--stats] view). *)

@@ -23,11 +23,10 @@ let last_key = Domain.DLS.new_key (fun () -> ref (0., 0))
 
 let tick ~conflicts ~decisions ~propagations ~learnts ~trail ~vars ~level
     ~started =
-  (* Runs for any live consumer: the trace stream, the flight recorder
-     (always-on in servers, so a wedged solve leaves its last snapshots in
-     the dump) or an installed callback (the engine's live lane table). *)
-  if Obs.enabled () || Flight.enabled () || Option.is_some (Atomic.get callback_)
-  then begin
+  (* Runs for any live consumer: the store (on in servers, so a wedged
+     solve leaves its last snapshots in the flight dump) or an installed
+     callback (the engine's live lane table). *)
+  if Obs.enabled () || Option.is_some (Atomic.get callback_) then begin
     let now = Unix.gettimeofday () in
     let last = Domain.DLS.get last_key in
     let t_prev, c_prev = !last in
@@ -37,10 +36,8 @@ let tick ~conflicts ~decisions ~propagations ~learnts ~trail ~vars ~level
       else 0.
     in
     last := (now, conflicts);
-    Obs.sample "sat.conflicts" (float_of_int conflicts);
-    Obs.sample "sat.learnts" (float_of_int learnts);
-    if Flight.enabled () then
-      Flight.record
+    if Obs.enabled () then
+      Obs.record
         ~data:
           [
             ("conflicts", string_of_int conflicts);
@@ -49,7 +46,7 @@ let tick ~conflicts ~decisions ~propagations ~learnts ~trail ~vars ~level
             ("rate", Printf.sprintf "%.0f" rate);
             ("elapsed_s", Printf.sprintf "%.3f" (Float.max 0. (now -. started)));
           ]
-        Flight.Progress "sat.progress";
+        Obs.Progress "sat.progress";
     let snap =
       {
         p_conflicts = conflicts;

@@ -3,9 +3,9 @@
     The solver calls {!tick} from its existing budget/deadline polling point
     (every 1024 conflicts), so enabling progress reporting adds no new
     branches to propagation. Each tick builds a {!snapshot}, forwards it to
-    the installed callback, and emits [sat.conflicts] / [sat.learnts]
-    counter-track samples into the {!Obs} event stream so mid-solve progress
-    is visible on the exported timeline.
+    the installed callback, and writes one [sat.progress] record into the
+    {!Obs} store, which the Chrome view draws as the [sat.conflicts] and
+    [sat.learnts] counter tracks.
 
     Everything is domain-safe: the callback cell is an atomic, and the
     rate/printer state is domain-local, so the serve engine's concurrent
@@ -39,8 +39,8 @@ val tick :
   level:int ->
   started:float ->
   unit
-(** No-op unless some consumer is live: {!Obs.enabled}, {!Flight.enabled}
-    or an installed callback. [started] is the [Unix.gettimeofday] at the
+(** No-op unless some consumer is live: {!Obs.enabled} or an installed
+    callback. [started] is the [Unix.gettimeofday] at the
     start of the enclosing [solve] call. *)
 
 val install_printer : ?every_s:float -> unit -> unit

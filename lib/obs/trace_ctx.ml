@@ -29,14 +29,8 @@ let with_ctx ctx f =
   cell := ctx;
   Fun.protect ~finally:(fun () -> cell := old) f
 
-let with_rid rid f =
-  let cell = Domain.DLS.get key in
-  let old = !cell in
-  cell := { old with rid };
-  Fun.protect ~finally:(fun () -> cell := old) f
-
-(* push/pop are called only from Obs's span machinery, and only when some
-   collector (tracing or the flight recorder) is on — idle cost is zero. *)
+(* push/pop are called only from Obs's span machinery, and only when the
+   store is on — idle cost is zero. *)
 
 let push name =
   let cell = Domain.DLS.get key in

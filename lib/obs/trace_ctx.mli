@@ -1,7 +1,7 @@
 (** Request-scoped ambient trace context.
 
     Carries the request id ([rid]) and the stack of currently-open span
-    names in domain-local storage. {!Obs.span} tags recorded events with
+    names in domain-local storage. {!Obs.span} tags recorded spans with
     the ambient rid and maintains the path; everything else reads it.
 
     Domains start with an empty context — code that hands work to another
@@ -26,11 +26,6 @@ val make : rid:string -> ?path:string list -> unit -> t
 val with_ctx : t -> (unit -> 'a) -> 'a
 (** [with_ctx ctx f] runs [f] with [ctx] installed as the ambient context,
     restoring the previous context afterwards (also on exceptions). *)
-
-val with_rid : string -> (unit -> 'a) -> 'a
-(** [with_rid rid f] runs [f] with the ambient rid set to [rid], keeping
-    the current span path. Scopes a rid within one domain; the serve
-    engine installs a whole context per job with {!with_ctx} instead. *)
 
 val rid : unit -> string
 (** The ambient request id; [""] outside any request. *)

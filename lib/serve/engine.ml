@@ -109,7 +109,7 @@ type t = {
 }
 
 (* Metric handles are registered lazily so a process that never serves pays
-   nothing. [create] flips [Metrics.set_always_on]: a server's operational
+   nothing. [create] turns the Obs store on: a server's operational
    counters must move in default runs, not only under --trace. *)
 let m_requests = lazy (Metrics.counter "serve.requests")
 let m_shed = lazy (Metrics.counter "serve.shed")
@@ -161,7 +161,7 @@ let process t (jb : job) : reply =
      ran on this worker before. *)
   Trace_ctx.with_ctx (Trace_ctx.make ~rid:jb.jb_rid ~path:jb.jb_path ())
   @@ fun () ->
-  Flight.record ~dur_ms:queue_ms Flight.Span "hop.shard_queue";
+  Obs.record ~dur_ms:queue_ms Obs.Span "hop.shard_queue";
   Log.with_fields [ ("rid", Log.S jb.jb_rid); ("id", Log.S jb.jb_id) ]
   @@ fun () ->
   Obs.span ~cat:"serve" "serve.request" (fun () ->
@@ -208,7 +208,7 @@ let process t (jb : job) : reply =
               Log.event "serve.deadline"
                 [ ("reason", Log.S why); ("budget_s", Log.F timeout) ];
               (* A blown per-request deadline is exactly the moment the
-                 recent history matters: dump the flight recorder so the
+                 recent history matters: dump the store so the
                  wedged request's spans, logs and last progress snapshots
                  survive for post-mortem. *)
               (match t.flight_dir with
@@ -304,11 +304,11 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 1024)
     | None -> max 1 (min 8 (Domain.recommended_domain_count () - 1))
   in
   (* A serving process reports live metrics whether or not tracing is on;
-     see the note on the metric handles above. The flight recorder is
-     always-on for the same reason: when a request wedges, its recent
-     history must already be in the ring. *)
-  Metrics.set_always_on true;
-  Flight.enable ();
+     see the note on the metric handles above. The same switch keeps the
+     store recording: when a request wedges, its recent history must
+     already be in the ring for a flight dump. A store already on (a
+     traced run) keeps its larger capacity. *)
+  if not (Obs.enabled ()) then Obs.enable ~capacity:4096 ();
   Option.iter Flight.set_dump_dir flight_dir;
   let t =
     {

@@ -22,8 +22,11 @@
     [serve.requests], [serve.shed], [serve.errors],
     [serve.cache.{hits,misses,joins}], gauge [serve.queue_depth], histogram
     [serve.request_s]. Unlike the batch pipeline's instrumentation these
-    are {e always on}: {!create} flips {!Sepsat_obs.Metrics.set_always_on}
-    so the metrics and stats surfaces stay live in default runs. Each job
+    are {e always on}: {!create} turns the {!Sepsat_obs.Obs} store on at
+    capacity 4096, which keeps the metrics and stats surfaces live in
+    default runs (the solver's [sat.*] and the encoder's [encode.*]
+    counters included) and the recent history of every domain ready for
+    a {!Sepsat_obs.Flight} dump. Each job
     also carries a server-minted correlation id ([rq-N]); when
     {!Sepsat_obs.Log} is enabled, every request emits [serve.request],
     [serve.shed], [serve.deadline], [serve.error] and [serve.reply] JSON
@@ -107,9 +110,9 @@ val create :
   t
 (** Spawns the worker domains immediately. Defaults: workers = recommended
     domain count - 1 (clamped to 1..8), queue 64, cache 1024 entries over 16
-    shards, 30 s budget. Also enables the always-on
-    {!Sepsat_obs.Flight} recorder; when [flight_dir] is given it becomes
-    the dump directory and every per-request deadline expiry writes a
+    shards, 30 s budget. Also turns the {!Sepsat_obs.Obs} store on at
+    capacity 4096 (unless it is already on); when [flight_dir] is given it
+    becomes the dump directory and every per-request deadline expiry writes a
     flight dump there (without it, dumps happen only on demand — SIGUSR1,
     crash, [dump] op). *)
 

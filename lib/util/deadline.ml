@@ -26,13 +26,4 @@ let exceeded t =
   || (match t.cpu_until with None -> false | Some u -> now () > u)
   || match t.wall_until with None -> false | Some u -> wall_now () > u
 
-let remaining t =
-  let cpu = Option.map (fun u -> u -. now ()) t.cpu_until in
-  let wall = Option.map (fun u -> u -. wall_now ()) t.wall_until in
-  match (cpu, wall) with
-  | None, None -> None
-  | Some c, None -> Some c
-  | None, Some w -> Some w
-  | Some c, Some w -> Some (Float.min c w)
-
 let check t = if exceeded t then raise Timeout

@@ -36,10 +36,6 @@ val interrupted : t -> bool
 
 val exceeded : t -> bool
 
-val remaining : t -> float option
-(** Seconds until the deadline fires (negative if already passed); [None]
-    for {!none}. When both clocks are armed, the tighter one is reported. *)
-
 val check : t -> unit
 (** @raise Timeout if the deadline has passed. *)
 

@@ -1,8 +1,8 @@
-(* Tests of the flight recorder: ring discipline, tear-free concurrent
-   recording, JSON dumps (on demand, to file, on signal) and the ambient
-   rid default.
+(* Tests of the event store and its flight views: ring discipline,
+   tear-free concurrent recording, JSON dumps (on demand, to file, on
+   signal), the ambient rid default and cross-process assembly.
 
-   Flight state is process-global, so every test starts from [fresh ()]. *)
+   Store state is process-global, so every test starts from [fresh ()]. *)
 
 module Flight = Sepsat_obs.Flight
 module Trace_ctx = Sepsat_obs.Trace_ctx
@@ -11,95 +11,9 @@ module Log = Sepsat_obs.Log
 module Json = Sepsat_util.Json
 
 let fresh ?capacity () =
-  Flight.disable ();
-  Flight.reset ();
   Obs.disable ();
   Obs.reset ();
-  Flight.enable ?capacity ()
-
-let test_disabled_no_records () =
-  Flight.disable ();
-  Flight.reset ();
-  Flight.record Flight.Event "dead";
-  Alcotest.(check int) "no records" 0 (List.length (Flight.records ()));
-  Alcotest.(check bool) "still disabled" false (Flight.enabled ())
-
-let test_record_fields () =
-  fresh ();
-  Flight.record ~rid:"rq-1" ~dur_ms:2.5 ~data:[ ("k", "v") ] Flight.Span
-    "solve";
-  Trace_ctx.with_rid "rq-ambient" (fun () ->
-      Flight.record Flight.Event "mark");
-  match Flight.records () with
-  | [ a; b ] ->
-    Alcotest.(check string) "name" "solve" a.Flight.fr_name;
-    Alcotest.(check string) "explicit rid" "rq-1" a.Flight.fr_rid;
-    Alcotest.(check (float 1e-9)) "duration" 2.5 a.Flight.fr_dur_ms;
-    Alcotest.(check (list (pair string string))) "payload" [ ("k", "v") ]
-      a.Flight.fr_data;
-    Alcotest.(check bool) "kind" true (a.Flight.fr_kind = Flight.Span);
-    Alcotest.(check string) "ambient rid is the default" "rq-ambient"
-      b.Flight.fr_rid;
-    Alcotest.(check bool) "timestamps ordered" true
-      (a.Flight.fr_ts <= b.Flight.fr_ts)
-  | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d"
-                           (List.length rs))
-
-let test_ring_overwrite_keeps_newest () =
-  fresh ~capacity:16 ();
-  for i = 0 to 99 do
-    Flight.record ~data:[ ("i", string_of_int i) ] Flight.Event "tick"
-  done;
-  let rs = Flight.records () in
-  Alcotest.(check int) "ring keeps capacity" 16 (List.length rs);
-  Alcotest.(check int) "dropped counted" 84 (Flight.dropped ());
-  (* Timestamps of back-to-back records can collide at clock resolution,
-     so assert the surviving *set*, not the sort order. *)
-  let values =
-    List.map (fun r -> int_of_string (List.assoc "i" r.Flight.fr_data)) rs
-    |> List.sort compare
-  in
-  Alcotest.(check (list int)) "exactly the newest survive"
-    (List.init 16 (fun i -> 84 + i))
-    values
-
-(* Obs spans double-record into the flight ring even with the span
-   collector off — this is what makes a default server debuggable. The
-   span record carries the request rid and the span path. *)
-let test_spans_feed_flight () =
-  fresh ();
-  Alcotest.(check bool) "obs collector stays off" false (Obs.enabled ());
-  Trace_ctx.with_rid "rq-f" (fun () ->
-      Obs.span "outer" (fun () -> Obs.span "inner" (fun () -> ())));
-  let find name =
-    List.find (fun r -> r.Flight.fr_name = name) (Flight.records ())
-  in
-  let inner = find "inner" and outer = find "outer" in
-  Alcotest.(check string) "rid tagged" "rq-f" inner.Flight.fr_rid;
-  Alcotest.(check string) "path shows nesting" "outer/inner"
-    (List.assoc "path" inner.Flight.fr_data);
-  Alcotest.(check bool) "outer path omitted when trivial" true
-    (not (List.mem_assoc "path" outer.Flight.fr_data));
-  Alcotest.(check bool) "durations non-negative" true
-    (inner.Flight.fr_dur_ms >= 0. && outer.Flight.fr_dur_ms >= 0.);
-  Alcotest.(check int) "no obs events recorded" 0
-    (List.length (Obs.events ()))
-
-(* Log events tee into the ring even without a log sink enabled. *)
-let test_logs_feed_flight () =
-  fresh ();
-  Log.event "serve.request" [ ("rid", Log.S "rq-l"); ("n", Log.I 3) ];
-  match
-    List.filter (fun r -> r.Flight.fr_kind = Flight.Log) (Flight.records ())
-  with
-  | [ r ] ->
-    Alcotest.(check string) "event name" "serve.request" r.Flight.fr_name;
-    Alcotest.(check string) "rid lifted from fields" "rq-l" r.Flight.fr_rid;
-    Alcotest.(check string) "fields stringified" "3"
-      (List.assoc "n" r.Flight.fr_data)
-  | rs ->
-    Alcotest.fail (Printf.sprintf "expected 1 log record, got %d"
-                     (List.length rs))
+  Obs.enable ?capacity ()
 
 (* The dump as it reaches a file or the wire. *)
 let dump_text () = Json.to_string (Flight.to_json ())
@@ -114,11 +28,98 @@ let dump_records j =
   | Some (Json.Arr rs) -> rs
   | _ -> Alcotest.fail "dump has no records array"
 
+let test_disabled_no_records () =
+  Obs.disable ();
+  Obs.reset ();
+  Obs.record Obs.Event "dead";
+  Alcotest.(check int) "no records" 0 (List.length (Obs.records ()));
+  Alcotest.(check bool) "still disabled" false (Obs.enabled ())
+
+let test_record_fields () =
+  fresh ();
+  Obs.record ~rid:"rq-1" ~dur_ms:2.5 ~data:[ ("k", "v") ] Obs.Span
+    "solve";
+  Trace_ctx.with_ctx (Trace_ctx.make ~rid:"rq-ambient" ()) (fun () ->
+      Obs.record Obs.Event "mark");
+  match Obs.records () with
+  | [ a; b ] ->
+    Alcotest.(check string) "name" "solve" a.Obs.fr_name;
+    Alcotest.(check string) "explicit rid" "rq-1" a.Obs.fr_rid;
+    Alcotest.(check (float 1e-9)) "duration" 2.5 a.Obs.fr_dur_ms;
+    Alcotest.(check (list (pair string string))) "payload" [ ("k", "v") ]
+      a.Obs.fr_data;
+    Alcotest.(check bool) "kind" true (a.Obs.fr_kind = Obs.Span);
+    Alcotest.(check string) "ambient rid is the default" "rq-ambient"
+      b.Obs.fr_rid;
+    Alcotest.(check bool) "timestamps ordered" true
+      (a.Obs.fr_ts <= b.Obs.fr_ts)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d"
+                           (List.length rs))
+
+let test_ring_overwrite_keeps_newest () =
+  fresh ~capacity:16 ();
+  for i = 0 to 99 do
+    Obs.record ~data:[ ("i", string_of_int i) ] Obs.Event "tick"
+  done;
+  let rs = Obs.records () in
+  Alcotest.(check int) "ring keeps capacity" 16 (List.length rs);
+  Alcotest.(check int) "dropped counted" 84 (Obs.dropped ());
+  (* Timestamps of back-to-back records can collide at clock resolution,
+     so assert the surviving *set*, not the sort order. *)
+  let values =
+    List.map (fun r -> int_of_string (List.assoc "i" r.Obs.fr_data)) rs
+    |> List.sort compare
+  in
+  Alcotest.(check (list int)) "exactly the newest survive"
+    (List.init 16 (fun i -> 84 + i))
+    values
+
+(* Spans land in the dump with the store at a server's capacity and no
+   tracing flag — this is what makes a default server debuggable. The
+   span record carries the request rid and the span path. *)
+let test_spans_in_dump () =
+  fresh ~capacity:4096 ();
+  Trace_ctx.with_ctx (Trace_ctx.make ~rid:"rq-f" ()) (fun () ->
+      Obs.span "outer" (fun () -> Obs.span "inner" (fun () -> ())));
+  let src =
+    Flight.source_of_json ~label:"me"
+      (parse_dump (Json.to_string (Flight.to_json ())))
+  in
+  let find name =
+    List.find (fun r -> r.Obs.fr_name = name) src.Flight.src_records
+  in
+  let inner = find "inner" and outer = find "outer" in
+  Alcotest.(check bool) "spans are Span records" true
+    (inner.Obs.fr_kind = Obs.Span && outer.Obs.fr_kind = Obs.Span);
+  Alcotest.(check string) "rid tagged" "rq-f" inner.Obs.fr_rid;
+  Alcotest.(check string) "path shows nesting" "outer/inner"
+    (List.assoc "path" inner.Obs.fr_data);
+  Alcotest.(check bool) "outer path omitted when trivial" true
+    (not (List.mem_assoc "path" outer.Obs.fr_data));
+  Alcotest.(check bool) "durations non-negative" true
+    (inner.Obs.fr_dur_ms >= 0. && outer.Obs.fr_dur_ms >= 0.)
+
+(* Log events tee into the ring even without a log sink enabled. *)
+let test_logs_feed_flight () =
+  fresh ();
+  Log.event "serve.request" [ ("rid", Log.S "rq-l"); ("n", Log.I 3) ];
+  match
+    List.filter (fun r -> r.Obs.fr_kind = Obs.Log) (Obs.records ())
+  with
+  | [ r ] ->
+    Alcotest.(check string) "event name" "serve.request" r.Obs.fr_name;
+    Alcotest.(check string) "rid lifted from fields" "rq-l" r.Obs.fr_rid;
+    Alcotest.(check string) "fields stringified" "3"
+      (List.assoc "n" r.Obs.fr_data)
+  | rs ->
+    Alcotest.fail (Printf.sprintf "expected 1 log record, got %d"
+                     (List.length rs))
+
 let test_dump_json_roundtrip () =
   fresh ();
-  Flight.record ~rid:"rq-\"quoted\"\n" ~dur_ms:1.25
+  Obs.record ~rid:"rq-\"quoted\"\n" ~dur_ms:1.25
     ~data:[ ("edge", "tab\tand\\backslash") ]
-    Flight.Span "weird";
+    Obs.Span "weird";
   let j = parse_dump (dump_text ()) in
   Alcotest.(check (option string)) "schema" (Some "sepsat-flight-1")
     (Json.mem_str "schema" j);
@@ -138,7 +139,7 @@ let test_write_and_dump_files () =
   let dir = Filename.temp_file "flight" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Flight.record ~rid:"rq-w" Flight.Event "written";
+  Obs.record ~rid:"rq-w" Obs.Event "written";
   let path = Filename.concat dir "out.json" in
   Flight.write path;
   let read_file p =
@@ -169,7 +170,7 @@ let test_signal_dump () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Flight.set_dump_dir dir;
-  Flight.record ~rid:"rq-sig" Flight.Event "before-signal";
+  Obs.record ~rid:"rq-sig" Obs.Event "before-signal";
   Flight.install_signal_dump ();
   Unix.kill (Unix.getpid ()) Sys.sigusr1;
   (* Signals are delivered at safe points; poll briefly for the file. *)
@@ -201,15 +202,15 @@ let test_signal_dump () =
 
 let test_records_carry_mono () =
   fresh ();
-  Flight.record ~rid:"rq-m" Flight.Event "stamp";
-  (match Flight.records () with
+  Obs.record ~rid:"rq-m" Obs.Event "stamp";
+  (match Obs.records () with
   | [ r ] ->
     (* fr_ts and fr_mono come from one [Clock.pair] reading: the clamp
        only ever pushes mono forward, never behind the wall stamp *)
     Alcotest.(check bool) "mono present and >= wall" true
-      (r.Flight.fr_mono >= r.Flight.fr_ts);
+      (r.Obs.fr_mono >= r.Obs.fr_ts);
     Alcotest.(check bool) "mono close to wall" true
-      (r.Flight.fr_mono -. r.Flight.fr_ts < 60.)
+      (r.Obs.fr_mono -. r.Obs.fr_ts < 60.)
   | rs ->
     Alcotest.fail
       (Printf.sprintf "expected 1 record, got %d" (List.length rs)));
@@ -225,12 +226,12 @@ let test_records_carry_mono () =
 
 let mk_record ?(rid = "") ?(dur_ms = 0.) ~mono name =
   {
-    Flight.fr_ts = 0.;
+    Obs.fr_ts = 0.;
     (* deliberately bogus: assemble must use mono, not ts *)
     fr_mono = mono;
     fr_tid = 0;
     fr_rid = rid;
-    fr_kind = (if dur_ms > 0. then Flight.Span else Flight.Event);
+    fr_kind = (if dur_ms > 0. then Obs.Span else Obs.Event);
     fr_name = name;
     fr_dur_ms = dur_ms;
     fr_data = [];
@@ -256,6 +257,7 @@ let test_assemble_aligns_skewed_clocks () =
       src_pid = 100;
       src_wall = 1000.;
       src_mono = 500.;
+      src_threads = [];
       src_records = [ mk_record ~rid:"fl-1" ~dur_ms:10. ~mono:499.9 "hop.a" ];
     }
   in
@@ -265,6 +267,7 @@ let test_assemble_aligns_skewed_clocks () =
       src_pid = 200;
       src_wall = 1000.05;
       src_mono = 9999.;
+      src_threads = [];
       (* ends 0.1 s before B's dump => abs 999.95, before A's record *)
       src_records = [ mk_record ~rid:"fl-1" ~dur_ms:20. ~mono:9998.9 "hop.b" ];
     }
@@ -307,6 +310,7 @@ let test_assemble_rid_filter () =
       src_pid = 1;
       src_wall = 100.;
       src_mono = 100.;
+      src_threads = [];
       src_records =
         [
           mk_record ~rid:"fl-keep" ~dur_ms:1. ~mono:99.9 "keep.span";
@@ -335,8 +339,8 @@ let test_assemble_rid_filter () =
    re-decode the dump as a source (the [sufdec trace] path), assemble. *)
 let test_assemble_from_live_dump () =
   fresh ();
-  Flight.record ~rid:"fl-live" ~dur_ms:2. Flight.Span "serve.solve";
-  Flight.record ~rid:"rq-other" ~dur_ms:1. Flight.Span "noise";
+  Obs.record ~rid:"fl-live" ~dur_ms:2. Obs.Span "serve.solve";
+  Obs.record ~rid:"rq-other" ~dur_ms:1. Obs.Span "noise";
   let src = Flight.source_of_json ~label:"server" (parse_dump (dump_text ())) in
   let _, es = assemble_events (Flight.assemble ~rid:"fl-live" [ src ]) in
   let spans =
@@ -354,13 +358,13 @@ let test_assemble_from_live_dump () =
    would lose most of them. *)
 let test_dump_decode_exact () =
   fresh ();
-  Flight.record ~rid:"rq-x" ~dur_ms:(1. /. 3.)
+  Obs.record ~rid:"rq-x" ~dur_ms:(1. /. 3.)
     ~data:[ ("k", "v"); ("empty", "") ]
-    Flight.Span "exact.span";
-  Flight.record Flight.Progress "exact.progress";
-  Flight.record ~data:[ ("n", "1") ] Flight.Log "exact.log";
-  Flight.record ~rid:"rq-y" Flight.Event "exact.event";
-  let live = Flight.records () in
+    Obs.Span "exact.span";
+  Obs.record Obs.Progress "exact.progress";
+  Obs.record ~data:[ ("n", "1") ] Obs.Log "exact.log";
+  Obs.record ~rid:"rq-y" Obs.Event "exact.event";
+  let live = Obs.records () in
   let doc = parse_dump (dump_text ()) in
   let src = Flight.source_of_json ~label:"me" doc in
   Alcotest.(check bool) "every record decodes to an equal record" true
@@ -389,12 +393,12 @@ let test_decode_without_mono_pair () =
   match src.Flight.src_records with
   | [ r ] ->
     Alcotest.(check (float 0.)) "record mono falls back to ts" 50.25
-      r.Flight.fr_mono;
-    Alcotest.(check bool) "kind decoded" true (r.Flight.fr_kind = Flight.Span);
-    Alcotest.(check string) "rid" "rq-old" r.Flight.fr_rid;
-    Alcotest.(check (float 0.)) "duration" 3. r.Flight.fr_dur_ms;
+      r.Obs.fr_mono;
+    Alcotest.(check bool) "kind decoded" true (r.Obs.fr_kind = Obs.Span);
+    Alcotest.(check string) "rid" "rq-old" r.Obs.fr_rid;
+    Alcotest.(check (float 0.)) "duration" 3. r.Obs.fr_dur_ms;
     Alcotest.(check (list (pair string string))) "no data" []
-      r.Flight.fr_data
+      r.Obs.fr_data
   | rs ->
     Alcotest.fail
       (Printf.sprintf "expected 1 record, got %d" (List.length rs))
@@ -412,37 +416,37 @@ let prop_concurrent_no_torn_records =
       fresh ~capacity:64 ();
       let consistent r =
         (* rid "w<d>-<i>", name "rec-<d>-<i>", data [("d", d); ("i", i)] *)
-        match String.split_on_char '-' r.Flight.fr_name with
+        match String.split_on_char '-' r.Obs.fr_name with
         | [ "rec"; d; i ] ->
-          r.Flight.fr_rid = Printf.sprintf "w%s-%s" d i
-          && List.assoc_opt "d" r.Flight.fr_data = Some d
-          && List.assoc_opt "i" r.Flight.fr_data = Some i
-          && r.Flight.fr_dur_ms = float_of_string i
+          r.Obs.fr_rid = Printf.sprintf "w%s-%s" d i
+          && List.assoc_opt "d" r.Obs.fr_data = Some d
+          && List.assoc_opt "i" r.Obs.fr_data = Some i
+          && r.Obs.fr_dur_ms = float_of_string i
         | _ -> false
       in
       let writers =
         List.init n_domains (fun d ->
             Domain.spawn (fun () ->
                 for i = 0 to n_records - 1 do
-                  Flight.record
+                  Obs.record
                     ~rid:(Printf.sprintf "w%d-%d" d i)
                     ~dur_ms:(float_of_int i)
                     ~data:
                       [ ("d", string_of_int d); ("i", string_of_int i) ]
-                    Flight.Span
+                    Obs.Span
                     (Printf.sprintf "rec-%d-%d" d i)
                 done))
       in
       (* Read (and render) while the writers run, then once after. *)
       let ok = ref true in
       for _ = 1 to 20 do
-        ok := !ok && List.for_all consistent (Flight.records ());
+        ok := !ok && List.for_all consistent (Obs.records ());
         ok := !ok && (match Json.parse (dump_text ()) with
                      | Ok _ -> true
                      | Error _ -> false)
       done;
       List.iter Domain.join writers;
-      !ok && List.for_all consistent (Flight.records ()))
+      !ok && List.for_all consistent (Obs.records ()))
 
 (* The dump taken under load is valid JSON whose record objects all carry
    the schema's fields. *)
@@ -458,10 +462,10 @@ let prop_dump_under_load_valid =
                 let i = ref 0 in
                 while not (Atomic.get stop) do
                   incr i;
-                  Flight.record
+                  Obs.record
                     ~rid:(Printf.sprintf "w%d" d)
                     ~data:[ ("i", string_of_int !i) ]
-                    Flight.Event "load"
+                    Obs.Event "load"
                 done))
       in
       let ok = ref true in
@@ -501,8 +505,8 @@ let () =
         ] );
       ( "feeds",
         [
-          Alcotest.test_case "obs spans tee in with obs off" `Quick
-            test_spans_feed_flight;
+          Alcotest.test_case "spans land in the dump" `Quick
+            test_spans_in_dump;
           Alcotest.test_case "log events tee in without a sink" `Quick
             test_logs_feed_flight;
         ] );

@@ -1,12 +1,12 @@
-(* Tests of the observability subsystem: span collection across domains,
-   the metrics registry, progress snapshots and the Chrome-trace exporter.
+(* Tests of the observability subsystem: the event store across domains,
+   its views (span rollup, flight dump, Chrome trace), the metrics
+   registry and progress snapshots.
 
-   Obs state is process-global, so every test starts from [fresh ()]. *)
+   Store state is process-global, so every test starts from [fresh ()]. *)
 
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Progress = Sepsat_obs.Progress
-module Chrome_trace = Sepsat_obs.Chrome_trace
 module Prom = Sepsat_obs.Prom
 module Window = Sepsat_obs.Window
 module Log = Sepsat_obs.Log
@@ -16,8 +16,6 @@ module Trace_ctx = Sepsat_obs.Trace_ctx
 let fresh ?capacity () =
   Obs.disable ();
   Obs.reset ();
-  Flight.disable ();
-  Flight.reset ();
   Metrics.reset ();
   Progress.set_callback None;
   Obs.enable ?capacity ()
@@ -40,6 +38,22 @@ let num = function Json.Num f -> f | _ -> Alcotest.fail "not a number"
 
 let metrics_text () = Json.to_string (Metrics.to_json ())
 
+let in_request rid f = Trace_ctx.with_ctx (Trace_ctx.make ~rid ()) f
+
+(* Span records as (name, start, end) on the mono clock, seconds. *)
+let spans () =
+  List.filter_map
+    (fun r ->
+      if r.Obs.fr_kind = Obs.Span then
+        Some
+          ( r.Obs.fr_name,
+            r.Obs.fr_mono -. (r.Obs.fr_dur_ms /. 1000.),
+            r.Obs.fr_mono )
+      else None)
+    (Obs.records ())
+
+let span_names () = List.map (fun (n, _, _) -> n) (spans ())
+
 (* -- Disabled mode -------------------------------------------------------- *)
 
 let test_disabled_no_events () =
@@ -49,14 +63,18 @@ let test_disabled_no_events () =
   let c = Metrics.counter "test.disabled" in
   let r = Obs.span "dead" (fun () -> 42) in
   Obs.instant "dead.instant";
-  Obs.sample "dead.sample" 1.;
+  Obs.record Obs.Progress "dead.progress";
   Metrics.incr c;
   Alcotest.(check int) "span is transparent" 42 r;
-  Alcotest.(check int) "no events" 0 (List.length (Obs.events ()));
+  Alcotest.(check int) "no records" 0 (List.length (Obs.records ()));
   Alcotest.(check int) "no metric update" 0 (Metrics.get c);
   Alcotest.(check bool) "still disabled" false (Obs.enabled ())
 
 (* -- Span collection ------------------------------------------------------ *)
+
+(* Starts are derived (end minus duration), so nesting holds to within
+   float rounding of the clock's magnitude. *)
+let eps = 1e-6
 
 let test_span_basic () =
   fresh ();
@@ -65,35 +83,26 @@ let test_span_basic () =
         Obs.span ~cat:"t" "inner" (fun () -> 7))
   in
   Alcotest.(check int) "result" 7 r;
-  let spans =
-    List.filter_map
-      (function
-        | Obs.Span { name; ts; dur; _ } -> Some (name, ts, dur)
-        | _ -> None)
-      (Obs.events ())
-  in
+  let spans = spans () in
   Alcotest.(check int) "two spans" 2 (List.length spans);
   let find n = List.find (fun (n', _, _) -> n' = n) spans in
-  let _, ots, odur = find "outer" and _, its, idur = find "inner" in
-  Alcotest.(check bool) "inner starts inside" true (its >= ots);
-  Alcotest.(check bool) "inner ends inside" true
-    (its +. idur <= ots +. odur +. 1e-9)
+  let _, os, oe = find "outer" and _, is, ie = find "inner" in
+  Alcotest.(check bool) "inner starts inside" true (is >= os -. eps);
+  Alcotest.(check bool) "inner ends inside" true (ie <= oe)
 
 let test_span_exception () =
   fresh ();
   (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  let names =
-    List.filter_map
-      (function Obs.Span { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
-  Alcotest.(check (list string)) "span recorded on raise" [ "boom" ] names
+  Alcotest.(check (list string)) "span recorded on raise" [ "boom" ]
+    (span_names ())
 
 let test_timed () =
   fresh ();
   let r, dt = Obs.timed "timed.work" (fun () -> 5) in
   Alcotest.(check int) "result" 5 r;
   Alcotest.(check bool) "non-negative elapsed" true (dt >= 0.);
+  Alcotest.(check (list string)) "one span record" [ "timed.work" ]
+    (span_names ());
   Obs.disable ();
   let r', dt' = Obs.timed "timed.off" (fun () -> 6) in
   Alcotest.(check int) "disabled result" 6 r';
@@ -102,39 +111,34 @@ let test_timed () =
 let test_ring_overflow () =
   fresh ~capacity:16 ();
   for i = 0 to 99 do
-    Obs.sample "tick" (float_of_int i)
+    Obs.record ~data:[ ("i", string_of_int i) ] Obs.Event "tick"
   done;
-  let evs = Obs.events () in
-  Alcotest.(check int) "ring keeps capacity" 16 (List.length evs);
+  let recs = Obs.records () in
+  Alcotest.(check int) "ring keeps capacity" 16 (List.length recs);
   Alcotest.(check int) "dropped counted" 84 (Obs.dropped ());
-  (* The survivors are the newest events, in order. *)
-  let values =
-    List.filter_map
-      (function Obs.Sample { value; _ } -> Some value | _ -> None)
-      evs
-  in
-  Alcotest.(check (list (float 1e-9)))
+  (* The survivors are the newest records, in order. *)
+  Alcotest.(check (list int))
     "newest survive"
-    (List.init 16 (fun i -> float_of_int (84 + i)))
-    values
+    (List.init 16 (fun i -> 84 + i))
+    (List.map (fun r -> int_of_string (List.assoc "i" r.Obs.fr_data)) recs)
 
 let test_span_summary () =
   fresh ();
   Obs.span "a" (fun () -> Obs.span "b" (fun () -> ()));
   Obs.span "b" (fun () -> ());
-  let stats = Obs.span_summary (Obs.events ()) in
+  Obs.instant "b";
+  let stats = Obs.span_summary (Obs.records ()) in
   let find n = List.find (fun s -> s.Obs.ss_name = n) stats in
   Alcotest.(check int) "a count" 1 (find "a").Obs.ss_count;
-  Alcotest.(check int) "b count" 2 (find "b").Obs.ss_count;
+  Alcotest.(check int) "b count: spans only" 2 (find "b").Obs.ss_count;
   Alcotest.(check bool) "totals non-negative" true
     (List.for_all (fun s -> s.Obs.ss_total >= 0.) stats)
 
 (* -- Concurrent domain emission ------------------------------------------- *)
 
-(* Each domain runs a random tree of nested spans. The collected stream must
+(* Each domain runs a random tree of nested spans. The collected store must
    then be, per domain: timestamp-monotone, and well-nested — any two spans
-   are either disjoint or one contains the other. This is the structural
-   invariant the Chrome exporter's stack replay relies on. *)
+   are either disjoint or one contains the other. *)
 let prop_concurrent_well_nested =
   let gen =
     QCheck2.Gen.(
@@ -153,35 +157,40 @@ let prop_concurrent_well_nested =
                 (fun () -> if k < depth then nest (k + 1))
             in
             nest 0;
-            Obs.sample "work" (float_of_int i))
+            Obs.instant "work")
           shape
       in
       let domains =
         List.init n_domains (fun d -> Domain.spawn (fun () -> work d))
       in
       List.iter Domain.join domains;
-      let evs = Obs.events () in
-      let tids = List.sort_uniq compare (List.map Obs.event_tid evs) in
+      let recs = Obs.records () in
+      let tids =
+        List.sort_uniq compare (List.map (fun r -> r.Obs.fr_tid) recs)
+      in
       List.for_all
         (fun tid ->
-          let mine = List.filter (fun e -> Obs.event_tid e = tid) evs in
+          let mine = List.filter (fun r -> r.Obs.fr_tid = tid) recs in
           (* monotone timestamps per domain *)
           let rec monotone = function
             | a :: (b :: _ as rest) ->
-              Obs.event_ts a <= Obs.event_ts b && monotone rest
+              a.Obs.fr_mono <= b.Obs.fr_mono && monotone rest
             | _ -> true
           in
           let spans =
             List.filter_map
-              (function
-                | Obs.Span { ts; dur; _ } -> Some (ts, ts +. dur)
-                | _ -> None)
+              (fun r ->
+                if r.Obs.fr_kind = Obs.Span then
+                  Some
+                    ( r.Obs.fr_mono -. (r.Obs.fr_dur_ms /. 1000.),
+                      r.Obs.fr_mono )
+                else None)
               mine
           in
           let disjoint_or_nested (s1, e1) (s2, e2) =
-            e1 <= s2 || e2 <= s1
-            || (s1 <= s2 && e2 <= e1)
-            || (s2 <= s1 && e1 <= e2)
+            e1 <= s2 +. eps || e2 <= s1 +. eps
+            || (s1 <= s2 +. eps && e2 <= e1)
+            || (s2 <= s1 +. eps && e1 <= e2)
           in
           let rec pairs_ok = function
             | [] -> true
@@ -191,89 +200,46 @@ let prop_concurrent_well_nested =
           monotone mine && pairs_ok spans)
         tids)
 
-(* -- Chrome trace export -------------------------------------------------- *)
+(* -- Chrome trace view ---------------------------------------------------- *)
+
+let chrome_items () =
+  match member "traceEvents" (parse (Flight.assemble [ Flight.local () ])) with
+  | Json.Arr items -> items
+  | _ -> Alcotest.fail "traceEvents is not an array"
 
 let collect_some_events () =
   fresh ();
   Obs.name_thread "main";
   Obs.span ~cat:"pipeline" "outer" (fun () ->
-      Obs.span ~cat:"pipeline" "inner" (fun () -> Obs.sample "counter" 3.);
+      Obs.span ~cat:"pipeline" "inner" (fun () ->
+          Obs.record ~data:[ ("counter", "3") ] Obs.Progress "t.progress");
       Obs.instant ~cat:"pipeline" "mark \"quoted\"");
-  Obs.events ()
+  chrome_items ()
 
 let test_chrome_valid_json () =
-  let evs = collect_some_events () in
-  let json = parse (Chrome_trace.to_string evs) in
-  let trace = member "traceEvents" json in
-  match trace with
-  | Json.Arr items ->
-    Alcotest.(check bool) "non-empty" true (items <> []);
-    List.iter
-      (fun item ->
-        let ph = str (member "ph" item) in
-        Alcotest.(check bool) "known phase" true
-          (List.mem ph [ "B"; "E"; "i"; "C"; "M" ]);
-        if ph <> "M" then
-          Alcotest.(check bool) "ts non-negative" true
-            (num (member "ts" item) >= 0.))
-      items
-  | _ -> Alcotest.fail "traceEvents is not an array"
-
-let test_chrome_matched_begin_end () =
-  let evs = collect_some_events () in
-  let json = parse (Chrome_trace.to_string evs) in
-  let items =
-    match member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> Alcotest.fail "traceEvents is not an array"
-  in
-  (* Replay per-tid: every E must close the most recent open B, timestamps
-     must never decrease, and nothing may stay open. *)
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
-  let last_ts : (int, float ref) Hashtbl.t = Hashtbl.create 4 in
-  let get tbl tid v0 =
-    match Hashtbl.find_opt tbl tid with
-    | Some r -> r
-    | None ->
-      let r = ref v0 in
-      Hashtbl.add tbl tid r;
-      r
-  in
+  let items = collect_some_events () in
+  Alcotest.(check bool) "non-empty" true (items <> []);
   List.iter
     (fun item ->
-      match str (member "ph" item) with
-      | "B" | "E" as ph ->
-        let tid = int_of_float (num (member "tid" item)) in
-        let ts = num (member "ts" item) in
-        let lt = get last_ts tid 0. in
-        Alcotest.(check bool) "timestamps non-decreasing" true (ts >= !lt);
-        lt := ts;
-        let stack = get stacks tid [] in
-        if ph = "B" then
-          stack := str (member "name" item) :: !stack
-        else begin
-          match !stack with
-          | top :: rest ->
-            Alcotest.(check string) "E matches innermost B" top
-              (str (member "name" item));
-            stack := rest
-          | [] -> Alcotest.fail "E without open B"
-        end
-      | _ -> ())
+      let ph = str (member "ph" item) in
+      Alcotest.(check bool) "known phase" true
+        (List.mem ph [ "X"; "i"; "C"; "M" ]);
+      if ph <> "M" then
+        Alcotest.(check bool) "ts non-negative" true
+          (num (member "ts" item) >= 0.))
     items;
-  Hashtbl.iter
-    (fun _ stack ->
-      Alcotest.(check (list string)) "all spans closed" [] !stack)
-    stacks
+  let has ph name =
+    List.exists
+      (fun i -> str (member "ph" i) = ph && str (member "name" i) = name)
+      items
+  in
+  Alcotest.(check bool) "spans are X events" true
+    (has "X" "outer" && has "X" "inner");
+  Alcotest.(check bool) "escaped instant" true (has "i" "mark \"quoted\"");
+  Alcotest.(check bool) "progress field is a counter track" true
+    (has "C" "t.counter")
 
 let test_chrome_thread_names () =
-  let evs = collect_some_events () in
-  let json = parse (Chrome_trace.to_string evs) in
-  let items =
-    match member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> []
-  in
   let names =
     List.filter_map
       (fun item ->
@@ -282,7 +248,7 @@ let test_chrome_thread_names () =
           && str (member "name" item) = "thread_name"
         then Some (str (member "name" (member "args" item)))
         else None)
-      items
+      (collect_some_events ())
   in
   Alcotest.(check bool) "main lane named" true (List.mem "main" names)
 
@@ -290,26 +256,21 @@ let test_chrome_thread_names () =
 
 let test_trace_ctx_basic () =
   Alcotest.(check string) "no ambient rid" "" (Trace_ctx.rid ());
-  Trace_ctx.with_rid "rq-7" (fun () ->
+  in_request "rq-7" (fun () ->
       Alcotest.(check string) "ambient rid" "rq-7" (Trace_ctx.rid ()));
   Alcotest.(check string) "restored after scope" "" (Trace_ctx.rid ());
-  (try Trace_ctx.with_rid "rq-doomed" (fun () -> failwith "boom")
+  (try in_request "rq-doomed" (fun () -> failwith "boom")
    with Failure _ -> ());
   Alcotest.(check string) "restored after exception" "" (Trace_ctx.rid ())
 
 let test_span_rid_tagging () =
   fresh ();
-  Trace_ctx.with_rid "rq-42" (fun () ->
+  in_request "rq-42" (fun () ->
       Obs.span "tagged" (fun () -> Obs.span "tagged.child" (fun () -> ())));
   Obs.span "untagged" (fun () -> ());
   Obs.instant "mark";
   let rids =
-    List.filter_map
-      (function
-        | Obs.Span { name; rid; _ } -> Some (name, rid)
-        | Obs.Instant { name; rid; _ } -> Some (name, rid)
-        | _ -> None)
-      (Obs.events ())
+    List.map (fun r -> (r.Obs.fr_name, r.Obs.fr_rid)) (Obs.records ())
   in
   Alcotest.(check string) "request root tagged" "rq-42"
     (List.assoc "tagged" rids);
@@ -333,44 +294,100 @@ let test_trace_ctx_cross_domain () =
   Domain.join d;
   let rid =
     List.find_map
-      (function
-        | Obs.Span { name = "remote.work"; rid; _ } -> Some rid
-        | _ -> None)
-      (Obs.events ())
+      (fun r ->
+        if r.Obs.fr_name = "remote.work" then Some r.Obs.fr_rid else None)
+      (Obs.records ())
   in
   Alcotest.(check (option string)) "adopted rid" (Some "rq-far") rid
 
 let test_chrome_rid_args () =
   fresh ();
   Obs.name_thread "main";
-  Trace_ctx.with_rid "rq-chrome" (fun () ->
+  in_request "rq-chrome" (fun () ->
       Obs.span ~cat:"serve" "req" (fun () -> Obs.instant "req.mark"));
   Obs.span "plain" (fun () -> ());
-  let json = parse (Chrome_trace.to_string (Obs.events ())) in
-  let items =
-    match member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> Alcotest.fail "traceEvents is not an array"
-  in
+  let items = chrome_items () in
   let rid_of name ph =
     List.find_map
       (fun item ->
         if
           str (member "ph" item) = ph
           && str (member "name" item) = name
-        then
-          match Json.member "args" item with
-          | Some args -> Some (str (member "rid" args))
-          | None -> Some "<no args>"
+        then Some (str (member "rid" (member "args" item)))
         else None)
       items
   in
-  Alcotest.(check (option string)) "B event carries rid"
-    (Some "rq-chrome") (rid_of "req" "B");
+  Alcotest.(check (option string)) "X event carries rid"
+    (Some "rq-chrome") (rid_of "req" "X");
   Alcotest.(check (option string)) "instant carries rid"
     (Some "rq-chrome") (rid_of "req.mark" "i");
-  Alcotest.(check (option string)) "rid-less span has no args"
-    (Some "<no args>") (rid_of "plain" "B")
+  Alcotest.(check (option string)) "rid-less span has an empty rid"
+    (Some "") (rid_of "plain" "X")
+
+(* -- One store, three views ------------------------------------------------ *)
+
+(* A nested span tree under a rid, one progress tick and one log line,
+   read back through every view: the --stats rollup, the flight dump
+   (exactly, through its decoder) and the local Chrome trace. *)
+let test_one_store_three_views () =
+  fresh ();
+  Obs.name_thread "views-main";
+  in_request "rq-views" (fun () ->
+      Obs.span "root" (fun () ->
+          Obs.span "child" (fun () -> ());
+          Obs.span "child" (fun () ->
+              Progress.tick ~conflicts:1024 ~decisions:1 ~propagations:1
+                ~learnts:7 ~trail:1 ~vars:2 ~level:0
+                ~started:(Unix.gettimeofday ()));
+          Log.event "views.log" [ ("n", Log.I 1) ]));
+  let recs = Obs.records () in
+  (* --stats *)
+  let stats = Obs.span_summary recs in
+  let count n = (List.find (fun s -> s.Obs.ss_name = n) stats).Obs.ss_count in
+  Alcotest.(check int) "two span names" 2 (List.length stats);
+  Alcotest.(check int) "root once" 1 (count "root");
+  Alcotest.(check int) "child twice" 2 (count "child");
+  (* flight dump: to_json -> source_of_json is exact *)
+  let src =
+    Flight.source_of_json ~label:"me"
+      (parse (Json.to_string (Flight.to_json ())))
+  in
+  Alcotest.(check bool) "dump decodes to the live records" true
+    (src.Flight.src_records = recs);
+  Alcotest.(check (list string)) "one record per event"
+    [ "span"; "progress"; "span"; "log"; "span" ]
+    (List.map
+       (fun r ->
+         match r.Obs.fr_kind with
+         | Obs.Span -> "span"
+         | Obs.Progress -> "progress"
+         | Obs.Log -> "log"
+         | Obs.Event -> "event")
+       recs);
+  (* local Chrome trace *)
+  let items = chrome_items () in
+  let xs =
+    List.filter (fun i -> str (member "ph" i) = "X") items
+  in
+  Alcotest.(check int) "three X events" 3 (List.length xs);
+  Alcotest.(check bool) "X events carry the rid" true
+    (List.for_all
+       (fun i -> str (member "rid" (member "args" i)) = "rq-views")
+       xs);
+  Alcotest.(check bool) "sat.conflicts counter track" true
+    (List.exists
+       (fun i ->
+         str (member "ph" i) = "C"
+         && str (member "name" i) = "sat.conflicts"
+         && num (member "value" (member "args" i)) = 1024.)
+       items);
+  Alcotest.(check bool) "lane thread_name" true
+    (List.exists
+       (fun i ->
+         str (member "ph" i) = "M"
+         && str (member "name" i) = "thread_name"
+         && str (member "name" (member "args" i)) = "views-main")
+       items)
 
 (* -- Metrics -------------------------------------------------------------- *)
 
@@ -458,27 +475,6 @@ let test_metrics_json_strict () =
         (count - binned)
     | _ -> Alcotest.fail "buckets shape")
   | _ -> Alcotest.fail "histogram shape")
-
-let test_metrics_always_on () =
-  Obs.disable ();
-  Obs.reset ();
-  Metrics.reset ();
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_always_on false)
-    (fun () ->
-      let c = Metrics.counter "ao.count" in
-      let h = Metrics.histogram "ao.hist" in
-      Metrics.incr c;
-      Alcotest.(check int) "gated while obs off" 0 (Metrics.get c);
-      Metrics.set_always_on true;
-      Alcotest.(check bool) "flag readable" true (Metrics.always_on ());
-      Metrics.incr c;
-      Metrics.observe h 0.5;
-      Alcotest.(check int) "counter moves with obs off" 1 (Metrics.get c);
-      match List.assoc "ao.hist" (Metrics.snapshot ()) with
-      | Metrics.Histogram { count; _ } ->
-        Alcotest.(check int) "histogram moves with obs off" 1 count
-      | _ -> Alcotest.fail "hist kind")
 
 let test_metrics_exemplars () =
   fresh ();
@@ -827,13 +823,15 @@ let test_progress_tick () =
     Alcotest.(check int) "level" 7 s.Progress.p_level;
     Alcotest.(check bool) "elapsed sane" true (s.Progress.p_elapsed >= 0.)
   | _ -> Alcotest.fail "expected exactly one snapshot");
-  let samples =
-    List.filter_map
-      (function Obs.Sample { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
-  Alcotest.(check bool) "conflict track emitted" true
-    (List.mem "sat.conflicts" samples);
+  (match
+     List.filter (fun r -> r.Obs.fr_kind = Obs.Progress) (Obs.records ())
+   with
+  | [ r ] ->
+    Alcotest.(check string) "one progress record" "sat.progress" r.Obs.fr_name;
+    Alcotest.(check (option string)) "conflicts in its data" (Some "1024")
+      (List.assoc_opt "conflicts" r.Obs.fr_data)
+  | rs ->
+    Alcotest.failf "expected 1 progress record, got %d" (List.length rs));
   (* An installed callback keeps receiving ticks with obs off — that is
      how the serve engine's lane table stays live in default runs... *)
   Obs.disable ();
@@ -858,11 +856,7 @@ let test_pipeline_spans_end_to_end () =
   in
   let r = Sepsat.Decide.decide ctx f in
   Alcotest.(check bool) "valid" true (r.Sepsat.Decide.verdict = Sepsat_sep.Verdict.Valid);
-  let span_names =
-    List.filter_map
-      (function Obs.Span { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
+  let span_names = span_names () in
   List.iter
     (fun phase ->
       Alcotest.(check bool) (phase ^ " span present") true
@@ -954,11 +948,11 @@ let () =
       ( "chrome",
         [
           Alcotest.test_case "valid JSON" `Quick test_chrome_valid_json;
-          Alcotest.test_case "matched B/E" `Quick
-            test_chrome_matched_begin_end;
           Alcotest.test_case "thread names" `Quick test_chrome_thread_names;
           Alcotest.test_case "rid lands in event args" `Quick
             test_chrome_rid_args;
+          Alcotest.test_case "one store, three views" `Quick
+            test_one_store_three_views;
         ] );
       ( "metrics",
         [
@@ -967,8 +961,6 @@ let () =
           Alcotest.test_case "json snapshot" `Quick test_metrics_json;
           Alcotest.test_case "strict json: finite bounds only" `Quick
             test_metrics_json_strict;
-          Alcotest.test_case "always-on bypasses the obs gate" `Quick
-            test_metrics_always_on;
           Alcotest.test_case "per-bucket exemplars: keep-max, reset" `Quick
             test_metrics_exemplars;
           Alcotest.test_case "exemplars in the json snapshot" `Quick

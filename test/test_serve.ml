@@ -479,19 +479,21 @@ let test_engine_shedding () =
   Alcotest.(check int) "submitted" 2 s.Engine.st_submitted
 
 let test_engine_deadline_unknown () =
-  (* a backend that honors its deadline: spins until the budget fires; the
-     engine must answer unknown and must not cache it *)
+  (* a backend that honors its deadline: spins on it, answering valid
+     once 1 s passes without it firing; the engine must answer unknown
+     under a short budget and must not cache it *)
   let backend ~method_:_ ~deadline ctx _f =
     ignore ctx;
-    match Deadline.remaining deadline with
-    | Some s when s > 1. -> Verdict.Valid
-    | _ ->
-      let rec spin () =
-        Deadline.check deadline;
+    let t0 = Unix.gettimeofday () in
+    let rec spin () =
+      Deadline.check deadline;
+      if Unix.gettimeofday () -. t0 > 1. then Verdict.Valid
+      else begin
         Unix.sleepf 0.002;
         spin ()
-      in
-      spin ()
+      end
+    in
+    spin ()
   in
   let engine = Engine.create ~workers:1 ~cache_capacity:64 ~backend () in
   let r1 =
@@ -544,7 +546,7 @@ let test_engine_trace_adoption () =
      the digest, so a mere rename would be answered from the cache and
      the backend (and this test's probe) would never run *)
   let untraced =
-    Trace_ctx.with_rid "stale-ambient" (fun () ->
+    Trace_ctx.with_ctx (Trace_ctx.make ~rid:"stale-ambient" ()) (fun () ->
         solve (Engine.job "(= b (f b))"))
   in
   (match (traced, untraced) with
@@ -826,18 +828,16 @@ let test_protocol_metrics_roundtrip () =
   | Error e -> Alcotest.failf "reply not json: %s" e
 
 let test_engine_metrics_always_on () =
-  (* Operational counters move even with the observability layer off —
-     [Engine.create] arms [Metrics.set_always_on]. *)
+  (* Operational counters move without any tracing flag — [Engine.create]
+     turns the store, and with it the metrics gate, on. *)
   Obs.disable ();
   Metrics.reset ();
   let engine = Engine.create ~workers:1 () in
   Fun.protect
-    ~finally:(fun () ->
-      Engine.shutdown engine;
-      Metrics.set_always_on false)
+    ~finally:(fun () -> Engine.shutdown engine)
     (fun () ->
-      Alcotest.(check bool) "create armed always-on" true
-        (Metrics.always_on ());
+      Alcotest.(check bool) "create turned the store on" true
+        (Obs.enabled ());
       ignore (Engine.solve ~block:true engine (Engine.job "(= x x)"));
       ignore (Engine.solve ~block:true engine (Engine.job "(= x x)"));
       Alcotest.(check int) "requests counted with obs off" 2
@@ -849,6 +849,29 @@ let test_engine_metrics_always_on () =
       let has_line l = List.mem l (String.split_on_char '\n' body) in
       Alcotest.(check bool) "scrape sees the counter" true
         (has_line "serve_requests 2"))
+
+(* The solver's per-solve deltas are gated on the same switch, so a
+   server's sat.* counters move too: one cold solve that reaches the SAT
+   core (an invalid formula, so its negation needs search) publishes one. *)
+let test_engine_solver_metrics () =
+  Obs.disable ();
+  Metrics.reset ();
+  let engine = Engine.create ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown engine)
+    (fun () ->
+      (match
+         Engine.solve ~block:true engine
+           (Engine.job "(= (f sm1) (f sm2))")
+       with
+      | Some (Ok o) ->
+        Alcotest.(check bool) "cold" true (o.Engine.o_origin = Protocol.Solved)
+      | _ -> Alcotest.fail "solve failed");
+      let solves =
+        Option.bind (Json.member "sat.solves" (Metrics.to_json ())) Json.to_int
+      in
+      Alcotest.(check bool) "sat.solves >= 1" true
+        (match solves with Some n -> n >= 1 | None -> false))
 
 let test_engine_stats_quantiles () =
   Obs.disable ();
@@ -895,11 +918,11 @@ let test_engine_rid_tagged_spans () =
       | _ -> Alcotest.fail "solve failed");
       let rids_of name =
         List.filter_map
-          (function
-            | Sepsat_obs.Obs.Span { name = n; rid; _ } when n = name ->
-              Some rid
-            | _ -> None)
-          (Sepsat_obs.Obs.events ())
+          (fun r ->
+            if r.Obs.fr_kind = Obs.Span && r.Obs.fr_name = name then
+              Some r.Obs.fr_rid
+            else None)
+          (Obs.records ())
       in
       (match rids_of "serve.request" with
       | rid :: _ ->
@@ -1026,7 +1049,7 @@ let test_hostile_rid_every_writer () =
   let mu = Mutex.create () in
   Obs.disable ();
   Metrics.reset ();
-  Flight.reset ();
+  Obs.reset ();
   Log.enable
     ~sink:(fun l -> Mutex.protect mu (fun () -> lines := l :: !lines))
     ();
@@ -1184,7 +1207,7 @@ let test_serve_channels_dump_op () =
   let oc = open_out in_path in
   output_string oc requests;
   close_out oc;
-  Sepsat_obs.Flight.reset ();
+  Obs.reset ();
   let engine = Engine.create ~workers:1 () in
   (* Serve one request to completion first (the protocol answers solves
      asynchronously, so an in-band solve could land after the dump). *)
@@ -1244,9 +1267,10 @@ let test_serve_metrics_http () =
       (Printf.sprintf "sufmetrics-%d.sock" (Unix.getpid ()))
   in
   if Sys.file_exists path then Sys.remove path;
-  Metrics.set_always_on true;
+  let was_on = Obs.enabled () in
+  Obs.enable ();
   Metrics.incr (Metrics.counter "serve.requests");
-  Metrics.set_always_on false;
+  if not was_on then Obs.disable ();
   let stop = Atomic.make false in
   let th = Server.serve_metrics ~path ~stop in
   let scrape target =
@@ -1366,6 +1390,8 @@ let () =
             test_protocol_metrics_roundtrip;
           Alcotest.test_case "always-on serve metrics" `Quick
             test_engine_metrics_always_on;
+          Alcotest.test_case "solver metrics move in a server" `Quick
+            test_engine_solver_metrics;
           Alcotest.test_case "stats rolling quantiles" `Quick
             test_engine_stats_quantiles;
           Alcotest.test_case "hostile rid survives every JSON writer" `Quick
