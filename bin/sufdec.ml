@@ -80,7 +80,11 @@ let method_arg =
     & opt method_conv Decide.Hybrid_default
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
-          "Decision method: sd, eij, hybrid, hybrid:N, svc or lazy.")
+          "Decision method: sd, eij, hybrid, hybrid:N, svc or lazy. $(b,hybrid) \
+           is the fill-checked rule: SD for a class with SepCnt above 700 \
+           unless a capped count of EIJ's transitivity constraints shows EIJ \
+           is within 1.5x of SD's estimated size. $(b,hybrid:N) is the \
+           paper's exact rule at SEP_THOLD N: SD iff SepCnt > N.")
 
 let timeout_arg =
   Arg.(
@@ -257,10 +261,11 @@ let stats_cmd =
       exit 2
     | formula ->
       let elim = Decide.eliminate ctx formula in
-      let normalized = Sepsat_sep.Normal.normalize ctx elim.Sepsat_suf.Elim.formula in
-      let classes =
-        Sepsat_sep.Classes.build ~p_consts:elim.Sepsat_suf.Elim.p_consts
-          normalized
+      let module Hybrid = Sepsat_encode.Hybrid in
+      let module Classes = Sepsat_sep.Classes in
+      let classes, decisions =
+        Hybrid.decisions ctx ~p_consts:elim.Sepsat_suf.Elim.p_consts
+          elim.Sepsat_suf.Elim.formula
       in
       Format.printf "size:             %d DAG nodes@." (Ast.size formula);
       Format.printf "functions:        %d@."
@@ -269,24 +274,23 @@ let stats_cmd =
         (List.length (Ast.predicates formula));
       Format.printf "p-constants:      %d@."
         (Sepsat_util.Sset.cardinal elim.Sepsat_suf.Elim.p_consts);
-      Format.printf "atoms:            %d@."
-        (Sepsat_sep.Classes.num_atoms classes);
-      Format.printf "sep. predicates:  %d@."
-        (Sepsat_sep.Classes.total_sep_cnt classes);
+      Format.printf "atoms:            %d@." (Classes.num_atoms classes);
+      Format.printf "sep. predicates:  %d@." (Classes.total_sep_cnt classes);
       Format.printf "classes:@.";
-      Array.iter
-        (fun (c : Sepsat_sep.Classes.class_info) ->
+      Array.iter2
+        (fun (c : Classes.class_info) (d : Hybrid.decision) ->
           Format.printf
-            "  class %d: %d members, range %d, SepCnt %d -> %s@."
-            c.Sepsat_sep.Classes.id
-            (List.length c.Sepsat_sep.Classes.members)
-            c.Sepsat_sep.Classes.range c.Sepsat_sep.Classes.sep_cnt
-            (if
-               c.Sepsat_sep.Classes.sep_cnt
-               > Sepsat_encode.Hybrid.default_threshold
-             then "SD"
-             else "EIJ"))
-        (Sepsat_sep.Classes.classes classes)
+            "  class %d: %d members, range %d, SepCnt %d, SD_est %d%s -> %s@."
+            c.Classes.id (List.length c.Classes.members) c.Classes.range
+            d.Hybrid.sep_cnt d.Hybrid.sd_est
+            (match d.Hybrid.fill with
+            | Hybrid.Unchecked -> ""
+            | Hybrid.Fill n -> Printf.sprintf ", fill %d" n
+            | Hybrid.Over_cap -> ", fill over cap")
+            (match d.Hybrid.choice with
+            | Hybrid.Use_sd -> "SD"
+            | Hybrid.Use_eij -> "EIJ"))
+        (Classes.classes classes) decisions
   in
   Cmd.v
     (Cmd.info "stats"

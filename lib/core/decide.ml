@@ -24,7 +24,7 @@ let pp_method ppf = function
   | Eij -> Format.pp_print_string ppf "EIJ"
   | Hybrid_default ->
     Format.fprintf ppf "HYBRID(%d)" Hybrid.default_threshold
-  | Hybrid_at t -> Format.fprintf ppf "HYBRID(%d)" t
+  | Hybrid_at t -> Format.fprintf ppf "HYBRID:%d" t
   | Svc_baseline -> Format.pp_print_string ppf "SVC"
   | Lazy_baseline -> Format.pp_print_string ppf "LAZY"
 

@@ -17,12 +17,17 @@ module Solver = Sepsat_sat.Solver
 type method_ =
   | Sd  (** small-domain encoding everywhere *)
   | Eij  (** per-constraint encoding everywhere *)
-  | Hybrid_default  (** HYBRID at the paper's default SEP_THOLD (700) *)
-  | Hybrid_at of int  (** HYBRID at an explicit SEP_THOLD *)
+  | Hybrid_default
+      (** HYBRID at the paper's default SEP_THOLD (700), with the fill check
+          on classes above it ({!Sepsat_encode.Hybrid.default}) *)
+  | Hybrid_at of int
+      (** the paper's exact HYBRID rule at an explicit SEP_THOLD *)
   | Svc_baseline
   | Lazy_baseline
 
 val pp_method : Format.formatter -> method_ -> unit
+(** ["SD"], ["EIJ"], ["HYBRID(700)"] for [Hybrid_default], ["HYBRID:<n>"]
+    for [Hybrid_at n], ["SVC"], ["LAZY"]. *)
 
 val method_of_string : string -> method_ option
 (** Accepts ["sd"], ["eij"], ["hybrid"], ["hybrid:<n>"], ["svc"],

@@ -62,28 +62,37 @@ module Edge_tbl = Hashtbl.Make (struct
   let equal ((a : int), (b : int), (c : int)) (a', b', c') =
     a = a' && b = b' && c = c'
 
-  let hash = Hashtbl.hash
+  (* Inline arithmetic, not the polymorphic [Hashtbl.hash]: this table is
+     probed once per elimination pair. The table is never iterated, so the
+     hash cannot affect the output. *)
+  let hash (a, b, c) = ((((a * 65599) + b) * 65599) + c) land max_int
 end)
 
 let pos_lit v = 2 * F.var_index v
 
-let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
-  let pctx = t.pctx in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let intern s =
-    match Hashtbl.find_opt ids s with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids s i;
-      i
-  in
-  let originals =
-    List.map
-      (fun ((b : Bound.t), v) -> (b, intern b.Bound.x, intern b.Bound.y, pos_lit v))
-      t.originals
-  in
-  let n = Hashtbl.length ids in
+(* Dense ids for the constants of a set of bounds, in order of first
+   occurrence; [names] maps them back. *)
+type vertices = { ids : (string, int) Hashtbl.t; names : string Vec.t }
+
+let vertices () = { ids = Hashtbl.create 64; names = Vec.create ~dummy:"" }
+
+let intern vs s =
+  match Hashtbl.find_opt vs.ids s with
+  | Some i -> i
+  | None ->
+    let i = Vec.size vs.names in
+    Hashtbl.add vs.ids s i;
+    Vec.push vs.names s;
+    i
+
+(* The elimination itself, over [originals]: distinct canonical bounds
+   [x − y <= c] as [(x, y, c, lit)], with [x] and [y] interned in [vs] and
+   [lit] the literal of the bound's variable. [fresh ()] gives the literal
+   of a new derived bound; every transitivity constraint goes to [emit] as
+   a clause. {!trans_constraints} and {!fill} differ only in these two
+   callbacks. *)
+let eliminate_all vs ~fresh ~emit originals =
+  let n = Vec.size vs.names in
   (* Weight window, per connected component. Every edge arising during
      elimination stands for a simple path of original edges, so its weight is
      at most S+ (the component's sum of positive original weights) and at
@@ -98,17 +107,17 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
      polynomial bound; components with long offset chains still blow up — as
      the paper observes they must. *)
   let uf = Union_find.create n in
-  List.iter (fun (_, x, y, _) -> Union_find.union uf x y) originals;
+  List.iter (fun (x, y, _, _) -> Union_find.union uf x y) originals;
   let s_plus = Array.make n 0 and s_minus = Array.make n 0 in
   List.iter
-    (fun ((b : Bound.t), x, _, _) ->
+    (fun (x, _, c, _) ->
       let r = Union_find.find uf x in
       (* both orientations of the bound: weights c and -c-1 *)
       List.iter
         (fun w ->
           s_plus.(r) <- s_plus.(r) + max 0 w;
           s_minus.(r) <- s_minus.(r) + max 0 (-w))
-        [ b.Bound.c; -b.Bound.c - 1 ])
+        [ c; -c - 1 ])
     originals;
   let comp v = Union_find.find uf v in
   let floor = Array.init n (fun v -> -s_plus.(comp v) - 1) in
@@ -121,9 +130,9 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
      and sharpens the encoding); a miss gets a fresh variable and an edge. *)
   let lits = Edge_tbl.create 256 in
   List.iter
-    (fun ((b : Bound.t), x, y, lit) ->
-      Edge_tbl.add lits (x, y, b.Bound.c) lit;
-      Edge_tbl.add lits (y, x, -b.Bound.c - 1) (lit lxor 1))
+    (fun (x, y, c, lit) ->
+      Edge_tbl.add lits (x, y, c) lit;
+      Edge_tbl.add lits (y, x, -c - 1) (lit lxor 1))
     originals;
   (* Adjacency: per vertex, every edge ever added leaving it and entering
      it, oldest first. An edge is live while its other end is not [dead];
@@ -140,44 +149,32 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
     in_deg.(e.dst) <- in_deg.(e.dst) + 1
   in
   (* Tie-break order: the iteration order of a non-randomized string table
-     filled with the vertices in installation order. Vertices only leave it
-     after installation, and [Hashtbl.remove] neither reorders nor shrinks,
-     so one snapshot of that order stays exact for the whole elimination. *)
+     filled with the vertices' names in installation order. Vertices only
+     leave it after installation, and [Hashtbl.remove] neither reorders nor
+     shrinks, so one snapshot of that order stays exact for the whole
+     elimination. *)
   let order_tbl : (string, int) Hashtbl.t = Hashtbl.create ~random:false 64 in
+  let installed = Array.make n false in
+  let note v =
+    if not installed.(v) then begin
+      installed.(v) <- true;
+      Hashtbl.replace order_tbl (Vec.get vs.names v) v
+    end
+  in
   List.iter
-    (fun ((b : Bound.t), x, y, lit) ->
-      let install (sname, src) (dname, dst) weight lit =
+    (fun (x, y, c, lit) ->
+      let install src dst weight lit =
         if not (useless src weight) then begin
-          Hashtbl.replace order_tbl sname src;
-          Hashtbl.replace order_tbl dname dst;
+          note src;
+          note dst;
           add_edge { src; dst; weight = normalize src weight; lit }
         end
       in
-      install (b.Bound.x, x) (b.Bound.y, y) b.Bound.c lit;
-      install (b.Bound.y, y) (b.Bound.x, x) (-b.Bound.c - 1) (lit lxor 1))
+      install x y c lit;
+      install y x (-c - 1) (lit lxor 1))
     originals;
   let order =
     Array.of_list (List.rev (Hashtbl.fold (fun _ v acc -> v :: acc) order_tbl []))
-  in
-  let constraints = ref [] in
-  t.n_trans <- 0;
-  let emit c =
-    constraints := c :: !constraints;
-    t.n_trans <- t.n_trans + 1;
-    if t.n_trans > t.budget then raise Translation_blowup;
-    (* Vertex elimination is the expensive translation phase, so it is the
-       one that must poll the budget — and the deadline's stop flag, through
-       which the serve engine cancels in-flight solves on shutdown. *)
-    if t.n_trans land 1023 = 0 then begin
-      Sepsat_util.Deadline.check deadline;
-      (* Mid-translation progress on the eij.trans_constraints counter
-         track: EIJ blowups are visible on the timeline before they
-         exhaust the budget. *)
-      if Sepsat_obs.Obs.enabled () then
-        Sepsat_obs.Obs.record
-          ~data:[ ("trans_constraints", string_of_int t.n_trans) ]
-          Sepsat_obs.Obs.Progress "eij.progress"
-    end
   in
   (* Live edges of [vec], newest first, where [other] names the far end. *)
   let live vec other =
@@ -206,7 +203,7 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
                 match Edge_tbl.find_opt lits (u, z, w) with
                 | Some lit -> lit
                 | None ->
-                  let lit = pos_lit (F.fresh_var pctx) in
+                  let lit = fresh () in
                   Edge_tbl.add lits (u, z, w) lit;
                   new_edges := { src = u; dst = z; weight = w; lit } :: !new_edges;
                   lit
@@ -235,7 +232,72 @@ let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
         end)
       order;
     eliminate !best
-  done;
-  F.clauses pctx (Array.of_list (List.rev !constraints))
+  done
+
+let trans_constraints ?(deadline = Sepsat_util.Deadline.none) t =
+  let constraints = ref [] in
+  t.n_trans <- 0;
+  let emit c =
+    constraints := c :: !constraints;
+    t.n_trans <- t.n_trans + 1;
+    if t.n_trans > t.budget then raise Translation_blowup;
+    (* Vertex elimination is the expensive translation phase, so it is the
+       one that must poll the budget — and the deadline's stop flag, through
+       which the serve engine cancels in-flight solves on shutdown. *)
+    if t.n_trans land 1023 = 0 then begin
+      Sepsat_util.Deadline.check deadline;
+      (* Mid-translation progress on the eij.trans_constraints counter
+         track: EIJ blowups are visible on the timeline before they
+         exhaust the budget. *)
+      if Sepsat_obs.Obs.enabled () then
+        Sepsat_obs.Obs.record
+          ~data:[ ("trans_constraints", string_of_int t.n_trans) ]
+          Sepsat_obs.Obs.Progress "eij.progress"
+    end
+  in
+  let vs = vertices () in
+  eliminate_all vs
+    ~fresh:(fun () -> pos_lit (F.fresh_var t.pctx))
+    ~emit
+    (List.map
+       (fun ((b : Bound.t), v) ->
+         let x = intern vs b.Bound.x in
+         (x, intern vs b.Bound.y, b.Bound.c, pos_lit v))
+       t.originals);
+  F.clauses t.pctx (Array.of_list (List.rev !constraints))
+
+exception Over_limit
+
+let fill ~limit bounds =
+  (* Literals only need to be distinct, and each one's negation distinct
+     from every other literal: count them off in steps of two. *)
+  let next = ref 0 in
+  let fresh () =
+    next := !next + 2;
+    !next
+  in
+  let vs = vertices () in
+  let seen = Edge_tbl.create 256 in
+  let originals =
+    List.fold_left
+      (fun acc (b : Bound.t) ->
+        let x = intern vs b.Bound.x in
+        let key = (x, intern vs b.Bound.y, b.Bound.c) in
+        if Edge_tbl.mem seen key then acc
+        else begin
+          Edge_tbl.add seen key ();
+          let x, y, c = key in
+          (x, y, c, fresh ()) :: acc
+        end)
+      [] bounds
+  in
+  let n = ref 0 in
+  let emit _ =
+    incr n;
+    if !n > limit then raise_notrace Over_limit
+  in
+  match eliminate_all vs ~fresh ~emit originals with
+  | () -> Some !n
+  | exception Over_limit -> None
 
 let bounds t = t.originals

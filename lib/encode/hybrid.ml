@@ -13,20 +13,27 @@ module Metrics = Sepsat_obs.Metrics
 
 exception Translation_blowup
 
-type config = { threshold : int; eij_budget : int }
+type config = { threshold : int; eij_budget : int; fill_check : bool }
 
 let default_threshold = 700
 
 let default_budget = 500_000
 
-let default = { threshold = default_threshold; eij_budget = default_budget }
+let default =
+  {
+    threshold = default_threshold;
+    eij_budget = default_budget;
+    fill_check = true;
+  }
 
-let sd_only = { threshold = -1; eij_budget = default_budget }
+let sd_only =
+  { threshold = -1; eij_budget = default_budget; fill_check = false }
 
-let eij_only = { threshold = max_int; eij_budget = default_budget }
+let eij_only =
+  { threshold = max_int; eij_budget = default_budget; fill_check = false }
 
 let hybrid ?(threshold = default_threshold) () =
-  { threshold; eij_budget = default_budget }
+  { threshold; eij_budget = default_budget; fill_check = false }
 
 type stats = {
   n_classes : int;
@@ -63,6 +70,155 @@ let m_sd_classes = lazy (Metrics.counter "encode.sd_classes")
 let m_eij_classes = lazy (Metrics.counter "encode.eij_classes")
 
 type method_choice = Use_sd | Use_eij
+
+type fill = Unchecked | Fill of int | Over_cap
+
+type decision = {
+  class_id : int;
+  sep_cnt : int;
+  sd_est : int;
+  fill : fill;
+  choice : method_choice;
+}
+
+(* EIJ goes ahead of SD iff SepCnt + fill <= fill_margin * SD_est. *)
+let fill_margin = 1.5
+
+(* ⌈log₂ r⌉ *)
+let bits r =
+  let rec go b = if 1 lsl b >= r then b else go (b + 1) in
+  go 0
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* The bounds Eij allocates for a class's atoms: one per leaf pair of an
+   inequality, two per leaf pair of an equality, none where Bound settles the
+   comparison statically. Side terms are shared across atoms, so their
+   leaves are read once each. Pairs with the same two bases, comparison and
+   offset difference give the same bounds, so only the first of them reaches
+   Bound; {!Eij.fill} counts any other repeats once. *)
+let class_bounds classes id =
+  let is_p = Classes.is_p classes in
+  let base_ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let base_id b =
+    match Hashtbl.find_opt base_ids b with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length base_ids in
+      Hashtbl.add base_ids b i;
+      i
+  in
+  let lo = ref 0 and hi = ref 0 in
+  let memo = Int_tbl.create 64 in
+  let leaves (t : Ast.term) =
+    match Int_tbl.find_opt memo t.tid with
+    | Some a -> a
+    | None ->
+      let a =
+        Array.of_list
+          (List.map
+             (fun (g : Ground.t) ->
+               lo := min !lo g.offset;
+               hi := max !hi g.offset;
+               (g, base_id g.base))
+             (Normal.leaves t))
+      in
+      Int_tbl.add memo t.tid a;
+      a
+  in
+  let atoms =
+    List.map
+      (fun (atom : Ast.formula) ->
+        match atom.fnode with
+        | Ast.Eq (t1, t2) -> (0, leaves t1, leaves t2)
+        | Ast.Lt (t1, t2) -> (1, leaves t1, leaves t2)
+        | _ -> assert false)
+      (Classes.class_atoms classes id)
+  in
+  (* One int per key: (base pair, comparison) major, offset difference minor,
+     when that fits; else every pair is its own key. *)
+  let nb = Hashtbl.length base_ids and span = (2 * (!hi - !lo)) + 1 in
+  let packs = nb < 1 lsl 20 && span < 1 lsl 20 in
+  let seen = Int_tbl.create 1024 in
+  let bounds = ref [] in
+  List.iter
+    (fun (kind, l1, l2) ->
+      Array.iter
+        (fun ((g1 : Ground.t), b1) ->
+          Array.iter
+            (fun ((g2 : Ground.t), b2) ->
+              let key =
+                (((((b1 * nb) + b2) * 2) + kind) * span)
+                + (g2.offset - g1.offset - (!lo - !hi))
+              in
+              if not (packs && Int_tbl.mem seen key) then begin
+                if packs then Int_tbl.add seen key ();
+                if kind = 0 then
+                  match Bound.eq_grounds ~is_p g1 g2 with
+                  | `Static _ -> ()
+                  | `Conj (v1, v2) ->
+                    bounds := v2.Bound.bound :: v1.Bound.bound :: !bounds
+                else
+                  match Bound.lt_grounds ~is_p g1 g2 with
+                  | `Static _ -> ()
+                  | `Bound v -> bounds := v.Bound.bound :: !bounds
+              end)
+            l2)
+        l1)
+    atoms;
+  List.rev !bounds
+
+(* The paper's rule: SD iff SepCnt > SEP_THOLD. Under [fill_check], a class
+   above the threshold still goes to EIJ when EIJ's estimated size, SepCnt
+   plus the fill of vertex elimination, is within [fill_margin] of SD's,
+   bits(range) times the class's ground leaves. The fill is replayed only
+   up to the difference, so the check never costs a blowup. *)
+let decide_class config classes (c : Classes.class_info) =
+  let sd_est = bits c.range * c.leaf_cnt in
+  let decision fill choice =
+    { class_id = c.id; sep_cnt = c.sep_cnt; sd_est; fill; choice }
+  in
+  if c.sep_cnt <= config.threshold then decision Unchecked Use_eij
+  else if not config.fill_check then decision Unchecked Use_sd
+  else
+    let cap = int_of_float (fill_margin *. float_of_int sd_est) - c.sep_cnt in
+    let d =
+      if cap <= 0 then decision Over_cap Use_sd
+      else
+        match Eij.fill ~limit:cap (class_bounds classes c.id) with
+        | Some n -> decision (Fill n) Use_eij
+        | None -> decision Over_cap Use_sd
+    in
+    if Obs.enabled () then
+      Obs.record
+        ~data:
+          [
+            ("class", string_of_int c.id);
+            ("sep_cnt", string_of_int c.sep_cnt);
+            ("sd_est", string_of_int sd_est);
+            ( "fill",
+              match d.fill with Fill n -> string_of_int n | _ -> "over cap" );
+            ("choice", if d.choice = Use_sd then "SD" else "EIJ");
+          ]
+        Obs.Event "encode.choice";
+    d
+
+let select config classes =
+  Obs.span ~cat:"encode" "encode.select" (fun () ->
+      Array.map (decide_class config classes) (Classes.classes classes))
+
+let prepare ctx ~p_consts formula =
+  let formula =
+    Obs.span ~cat:"encode" "normalize" (fun () -> Normal.normalize ctx formula)
+  in
+  let classes =
+    Obs.span ~cat:"encode" "classes" (fun () -> Classes.build ~p_consts formula)
+  in
+  (formula, classes)
+
+let decisions ?(config = default) ctx ~p_consts formula =
+  let _, classes = prepare ctx ~p_consts formula in
+  (classes, select config classes)
 
 (* How each class's atoms pick their encoding: either fixed at encode time
    (from a SEP_THOLD comparison) or deferred to a per-class selector
@@ -106,15 +262,10 @@ let p_value_fun classes ~p_consts =
     | None -> invalid_arg (Printf.sprintf "Hybrid: unknown p-constant %S" name)
 
 let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
-  let formula =
-    Obs.span ~cat:"encode" "normalize" (fun () -> Normal.normalize ctx formula)
-  in
-  let classes =
-    Obs.span ~cat:"encode" "classes" (fun () -> Classes.build ~p_consts formula)
-  in
+  let formula, classes = prepare ctx ~p_consts formula in
   let infos = Classes.classes classes in
   let pctx = F.create_ctx () in
-  let mode = mode_of pctx infos in
+  let mode = mode_of pctx classes in
   (* Choice of a class under a propositional model: fixed modes ignore the
      model, selector mode reads the class's selector variable off it. *)
   let choice_of assign cls_id =
@@ -317,12 +468,8 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
 
 let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
     ~p_consts formula =
-  let mode_of _pctx infos =
-    Fixed
-      (Array.map
-         (fun (c : Classes.class_info) ->
-           if c.sep_cnt > config.threshold then Use_sd else Use_eij)
-         infos)
+  let mode_of _pctx classes =
+    Fixed (Array.map (fun d -> d.choice) (select config classes))
   in
   let pctx, f_bool, stats, decode, _mode, _infos =
     encode_core ~mode_of ~eij_budget:config.eij_budget ~deadline ctx ~p_consts
@@ -332,8 +479,11 @@ let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
 
 let encode_selective ?(eij_budget = default_budget)
     ?(deadline = Sepsat_util.Deadline.none) ctx ~p_consts formula =
-  let mode_of pctx infos =
-    Selected (Array.map (fun (_ : Classes.class_info) -> F.fresh_var pctx) infos)
+  let mode_of pctx classes =
+    Selected
+      (Array.map
+         (fun (_ : Classes.class_info) -> F.fresh_var pctx)
+         (Classes.classes classes))
   in
   let pctx, f_bool, stats, decode, mode, infos =
     encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula

@@ -8,7 +8,10 @@
     + ground terms are normalized;
     + per class, the method is SD when [SepCnt(V_i) > threshold], EIJ
       otherwise — so [threshold = -1] is the pure SD procedure and
-      [threshold = max_int] the pure EIJ procedure;
+      [threshold = max_int] the pure EIJ procedure. Under [fill_check]
+      ({!default}), a class above the threshold still goes to EIJ when a
+      capped count of EIJ's transitivity constraints shows EIJ is no more
+      than 1.5 times SD's estimated size (see {!decision});
     + p-constants fold to fixed diverse values.
 
     The result carries a decoder from propositional models back to integer /
@@ -26,12 +29,18 @@ exception Translation_blowup
 type config = {
   threshold : int;  (** the paper's [SEP_THOLD]; default 700 (§4.1) *)
   eij_budget : int;  (** transitivity-constraint budget *)
+  fill_check : bool;
+      (** check every class above [threshold] before sending it to SD;
+          [false] is the paper's exact rule *)
 }
 
 val default_threshold : int
 (** 700, the value the paper's clustering procedure selects. *)
 
 val default : config
+(** The checked rule at the default threshold: classes at or below 700 get
+    the paper's choice (EIJ), classes above it go to EIJ when their fill
+    check passes and to SD otherwise. *)
 
 val sd_only : config
 (** Every class through SD — the paper's standalone SD method. *)
@@ -40,6 +49,40 @@ val eij_only : config
 (** Every class through EIJ — the paper's standalone EIJ method. *)
 
 val hybrid : ?threshold:int -> unit -> config
+(** The paper's exact rule at [threshold] (default 700): SD iff
+    [SepCnt > threshold]. *)
+
+type method_choice = Use_sd | Use_eij
+
+type fill =
+  | Unchecked  (** the class got the threshold rule's choice unchecked *)
+  | Fill of int
+      (** the replayed elimination finished under the cap with this many
+          transitivity constraints *)
+  | Over_cap  (** the replay passed the cap, or the cap was not positive *)
+
+type decision = {
+  class_id : int;
+  sep_cnt : int;  (** [SepCnt]: EIJ's disjuncts, the paper's measure *)
+  sd_est : int;
+      (** [bits(range) · leaf_cnt], with [bits r = ⌈log₂ r⌉]: SD's
+          circuits grow linearly in the leaves of each ITE tree *)
+  fill : fill;
+  choice : method_choice;
+}
+(** One class's encoding and why. A checked class goes to EIJ iff
+    [sep_cnt + fill <= 1.5 · sd_est]; the replay ({!Eij.fill}) stops at
+    [cap = 1.5 · sd_est − sep_cnt] and is skipped when [cap <= 0]. *)
+
+val decisions :
+  ?config:config ->
+  Ast.ctx ->
+  p_consts:Sset.t ->
+  Ast.formula ->
+  Sepsat_sep.Classes.t * decision array
+(** The classes of an application-free formula and the per-class choice
+    {!encode} makes under [config] (default {!default}), indexed by class
+    id, without encoding anything. *)
 
 type stats = {
   n_classes : int;

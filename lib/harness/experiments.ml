@@ -155,7 +155,8 @@ let figure4 ?(deadline_s = default_deadline) ppf =
     ~title:
       "Figure 4: HYBRID vs SD and EIJ (39 non-invariant benchmarks, default \
        SEP_THOLD)"
-    ~benchmarks:Suite.non_invariant ~base_method:Decide.Hybrid_default
+    ~benchmarks:Suite.non_invariant
+    ~base_method:(Decide.Hybrid_at Sepsat_encode.Hybrid.default_threshold)
     ~base_name:"HYBRID"
     ~others:[ ("SD", Decide.Sd); ("EIJ", Decide.Eij) ]
     ~deadline_s ppf
@@ -201,7 +202,8 @@ let figure5 ?(deadline_s = default_deadline) ppf =
 let figure6 ?(deadline_s = default_deadline) ppf =
   comparison
     ~title:"Figure 6: HYBRID vs SVC and CVC-style lazy (39 non-invariant)"
-    ~benchmarks:Suite.non_invariant ~base_method:Decide.Hybrid_default
+    ~benchmarks:Suite.non_invariant
+    ~base_method:(Decide.Hybrid_at Sepsat_encode.Hybrid.default_threshold)
     ~base_name:"HYBRID"
     ~others:[ ("SVC", Decide.Svc_baseline); ("LAZY", Decide.Lazy_baseline) ]
     ~deadline_s ppf

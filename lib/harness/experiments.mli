@@ -19,21 +19,21 @@ val threshold_selection : ?deadline_s:float -> Format.formatter -> int
     run-times and returns the selected SEP_THOLD. *)
 
 val figure4 : ?deadline_s:float -> Format.formatter -> unit
-(** HYBRID (default threshold) against SD and EIJ on the 39 non-invariant
-    benchmarks. *)
+(** HYBRID (the paper's rule at the default threshold, [Hybrid_at 700])
+    against SD and EIJ on the 39 non-invariant benchmarks. *)
 
 val figure5 : ?deadline_s:float -> Format.formatter -> unit
 (** HYBRID (SEP_THOLD = 100) against SD and EIJ on the 10 invariant-checking
     benchmarks. *)
 
 val figure6 : ?deadline_s:float -> Format.formatter -> unit
-(** HYBRID against the SVC-style and CVC-style (lazy) baselines on the 39
-    non-invariant benchmarks. *)
+(** HYBRID (the paper's rule, [Hybrid_at 700]) against the SVC-style and
+    CVC-style (lazy) baselines on the 39 non-invariant benchmarks. *)
 
 val figure_hybrid : ?deadline_s:float -> Format.formatter -> unit
-(** Sequential HYBRID at the default SEP_THOLD on pipe.3, pipe.5, cache.5,
-    lsu.3, tv.1 and batch.1/3/4, with the elim/encode/cnf/sat split of each
-    run: the HYBRID rows of the perf-gate baseline. *)
+(** Sequential [Hybrid_default] (the fill-checked rule) on pipe.3, pipe.5,
+    cache.5, lsu.3, tv.1 and batch.1/3/4, with the elim/encode/cnf/sat split
+    of each run: the HYBRID rows of the perf-gate baseline. *)
 
 val ablation_threshold : ?deadline_s:float -> Format.formatter -> unit
 (** Design-choice ablation: HYBRID search time across a SEP_THOLD sweep on

@@ -9,11 +9,13 @@ type class_info = {
   shift : int;
   umax : int;
   sep_cnt : int;
+  leaf_cnt : int;
   p_neighbors : Sset.t;
 }
 
 type t = {
   infos : class_info array;
+  class_atoms : Ast.formula list array;  (* class id -> its atoms *)
   const_to_class : (string, int) Hashtbl.t;  (* g-constant -> class id *)
   atom_to_class : (int, int option) Hashtbl.t;  (* atom fid -> class id *)
   offs : (string, int * int) Hashtbl.t;  (* constant -> (l, u) *)
@@ -110,6 +112,8 @@ let build ~p_consts formula =
   in
   (* Second pass: per-atom class, SepCnt and p-neighbors. *)
   let sep_cnt = Array.make n_classes 0 in
+  let leaf_cnt = Array.make n_classes 0 in
+  let class_atoms = Array.make n_classes [] in
   let p_neighbors = Array.make n_classes Sset.empty in
   let atom_to_class = Hashtbl.create 64 in
   let total_sep = ref 0 in
@@ -117,7 +121,8 @@ let build ~p_consts formula =
     (fun atom ->
       let t1, t2 = atom_sides atom in
       let leaves1 = Normal.leaves t1 and leaves2 = Normal.leaves t2 in
-      let m = List.length leaves1 * List.length leaves2 in
+      let n1 = List.length leaves1 and n2 = List.length leaves2 in
+      let m = n1 * n2 in
       total_sep := !total_sep + m;
       let cls =
         match (dep t1, dep t2) with
@@ -130,6 +135,8 @@ let build ~p_consts formula =
       | None -> ()
       | Some id ->
         sep_cnt.(id) <- sep_cnt.(id) + m;
+        leaf_cnt.(id) <- leaf_cnt.(id) + n1 + n2;
+        class_atoms.(id) <- atom :: class_atoms.(id);
         let note (g : Ground.t) =
           if Sset.mem g.Ground.base p_consts then
             p_neighbors.(id) <- Sset.add g.Ground.base p_neighbors.(id)
@@ -174,6 +181,7 @@ let build ~p_consts formula =
           shift;
           umax;
           sep_cnt = sep_cnt.(id);
+          leaf_cnt = leaf_cnt.(id);
           p_neighbors = p_neighbors.(id);
         })
   in
@@ -186,6 +194,7 @@ let build ~p_consts formula =
     g_names;
   {
     infos;
+    class_atoms = Array.map List.rev class_atoms;
     const_to_class;
     atom_to_class;
     offs;
@@ -195,6 +204,8 @@ let build ~p_consts formula =
   }
 
 let classes t = t.infos
+
+let class_atoms t id = t.class_atoms.(id)
 
 let atom_class t atom =
   match Hashtbl.find_opt t.atom_to_class (atom : Ast.formula).fid with

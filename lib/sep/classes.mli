@@ -23,7 +23,12 @@ type class_info = {
       (** domain lower bound [L = max(0, max_v −l(v))], so member values live
           in [\[L, L + range − 1\]] and every ground term stays non-negative *)
   umax : int;  (** largest positive offset over members *)
-  sep_cnt : int;  (** paper's [SepCnt(V_i)] upper bound *)
+  sep_cnt : int;
+      (** paper's [SepCnt(V_i)] upper bound: over the class's atoms, the
+          product of the two sides' distinct ground-leaf counts *)
+  leaf_cnt : int;
+      (** over the class's atoms, the sum of the two sides' distinct
+          ground-leaf counts: the size SD's circuits grow with *)
   p_neighbors : Sset.t;
       (** p-constants appearing in this class's atoms; the SD encoder must
           make room for their fixed diverse values *)
@@ -36,6 +41,10 @@ val build : p_consts:Sset.t -> Ast.formula -> t
     ({!Normal.normalize}). *)
 
 val classes : t -> class_info array
+
+val class_atoms : t -> int -> Ast.formula list
+(** The [Eq]/[Lt] atoms of a class, by class id, in {!Sepsat_suf.Ast.atoms}
+    order. *)
 
 val atom_class : t -> Ast.formula -> class_info option
 (** Class owning an [Eq]/[Lt] atom of the formula; [None] when the atom

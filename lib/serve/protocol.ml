@@ -51,7 +51,7 @@ and request =
   | Shutdown of string
   | Warm of warm_req
 
-(* pp_method prints "HYBRID(700)"; the wire uses the method_of_string
+(* pp_method prints "HYBRID(700)" or "HYBRID:100"; the wire uses the method_of_string
    syntax so requests survive a print/parse round trip. *)
 let method_to_wire = function
   | Decide.Sd -> "sd"

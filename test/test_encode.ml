@@ -249,6 +249,37 @@ let test_eij_derived_reuse () =
   Alcotest.(check bool) "a=b, b<>c, a<>c allowed" true
     (sat [ ab; F.not_ pctx bc; F.not_ pctx ac ])
 
+(* The count-only replay is the same elimination: over bounds listed in
+   allocation order it counts exactly the constraints [trans_constraints]
+   emits, and the limit cuts it off just below that count. *)
+let prop_fill_counts_trans =
+  QCheck2.Test.make ~name:"fill counts what trans_constraints emits"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 12)
+        (triple (int_bound 5) (int_range 1 5) (int_range (-4) 4)))
+    (fun spec ->
+      let pctx = F.create_ctx () in
+      let eij = Eij.create pctx in
+      let bounds =
+        List.map
+          (fun (a, d, c) ->
+            let view =
+              Bound.view
+                ~x:(Printf.sprintf "n%d" a)
+                ~y:(Printf.sprintf "n%d" ((a + d) mod 6))
+                ~c
+            in
+            ignore (Eij.encode_view eij view);
+            view.Bound.bound)
+          spec
+      in
+      ignore (Eij.trans_constraints eij);
+      let n = Eij.num_trans_constraints eij in
+      Eij.fill ~limit:max_int bounds = Some n
+      && Eij.fill ~limit:n bounds = Some n
+      && (n = 0 || Eij.fill ~limit:(n - 1) bounds = None))
+
 let encode_text ?(config = Hybrid.default) text =
   let ctx = Ast.create_ctx () in
   let f = Parse.formula ctx text in
@@ -300,6 +331,7 @@ let () =
             test_eij_derived_reuse;
           QCheck_alcotest.to_alcotest prop_eij_exact;
           QCheck_alcotest.to_alcotest prop_eij_exact_two_components;
+          QCheck_alcotest.to_alcotest prop_fill_counts_trans;
         ] );
       ( "hybrid",
         [

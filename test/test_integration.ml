@@ -265,6 +265,184 @@ let test_regressions () =
         all_methods)
     regression_cases
 
+(* (h) the fill-checked HYBRID selector. Classes at or below SEP_THOLD keep
+   the paper's choice; above it, only lsu.5-7 pass the fill check. *)
+module Hybrid = Sepsat_encode.Hybrid
+module Certify = Sepsat_check.Certify
+
+let decisions_of build =
+  let ctx = Ast.create_ctx () in
+  let elim = Decide.eliminate ctx (build ctx) in
+  snd (Hybrid.decisions ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula)
+
+let fill_wins = [ "lsu.5"; "lsu.6"; "lsu.7" ]
+
+let test_selector_suite () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      List.iter
+        (fun bug ->
+          let name = if bug then b.Suite.name ^ "/bug" else b.Suite.name in
+          let ds = decisions_of (fun ctx -> b.Suite.build ~bug ctx) in
+          Array.iter
+            (fun (d : Hybrid.decision) ->
+              let where = Printf.sprintf "%s class %d" name d.Hybrid.class_id in
+              if d.Hybrid.sep_cnt <= Hybrid.default_threshold then
+                Alcotest.(check bool)
+                  (where ^ ": paper's choice, unchecked") true
+                  (d.Hybrid.choice = Hybrid.Use_eij
+                  && d.Hybrid.fill = Hybrid.Unchecked)
+              else if List.mem b.Suite.name fill_wins then
+                Alcotest.(check bool)
+                  (where ^ ": fill check passes") true
+                  (d.Hybrid.choice = Hybrid.Use_eij
+                  && match d.Hybrid.fill with Hybrid.Fill _ -> true | _ -> false)
+              else
+                Alcotest.(check bool) (where ^ ": stays SD") true
+                  (d.Hybrid.choice = Hybrid.Use_sd))
+            ds;
+          let above =
+            List.filter
+              (fun (d : Hybrid.decision) ->
+                d.Hybrid.sep_cnt > Hybrid.default_threshold)
+              (Array.to_list ds)
+          in
+          let member prefix lo hi =
+            List.exists
+              (fun i -> b.Suite.name = Printf.sprintf "%s.%d" prefix i)
+              (List.init (hi - lo + 1) (( + ) lo))
+          in
+          (* the cases the rule is about do reach the check *)
+          if member "lsu" 5 7 || member "tv" 3 6 then
+            Alcotest.(check bool) (name ^ ": a class above 700") true
+              (above <> []);
+          if member "pipe" 3 9 then
+            Alcotest.(check bool) (name ^ ": third class above 700, SD") true
+              (ds.(2).Hybrid.sep_cnt > Hybrid.default_threshold
+              && ds.(2).Hybrid.choice = Hybrid.Use_sd))
+        [ false; true ])
+    (Suite.benchmarks @ Suite.batch)
+
+(* The pipelines [sufdec gen --family pipeline] renders stay on SD. *)
+let test_selector_pipelines () =
+  let checked = ref 0 in
+  for size = 3 to 10 do
+    for seed = 1 to 4 do
+      List.iter
+        (fun bug ->
+          let ds =
+            decisions_of (fun ctx ->
+                Sepsat_workloads.Pipeline.formula ~bug ctx ~n_instructions:size
+                  ~seed)
+          in
+          Array.iter
+            (fun (d : Hybrid.decision) ->
+              if d.Hybrid.sep_cnt > Hybrid.default_threshold then begin
+                incr checked;
+                Alcotest.(check bool)
+                  (Printf.sprintf "pipeline %d seed %d%s class %d stays SD" size
+                     seed
+                     (if bug then " bug" else "")
+                     d.Hybrid.class_id)
+                  true
+                  (d.Hybrid.choice = Hybrid.Use_sd)
+              end)
+            ds)
+        [ false; true ]
+    done
+  done;
+  Alcotest.(check bool) "some pipeline classes reach the check" true
+    (!checked > 0)
+
+(* Decide's eager pipeline with a hybrid configuration given directly, DRUP
+   proof included, as a [Decide.result] that {!Certify.check} accepts. *)
+let decide_config config ctx f =
+  let module F = Sepsat_prop.Formula in
+  let module Tseitin = Sepsat_prop.Tseitin in
+  let module Solver = Sepsat_sat.Solver in
+  let elim = Decide.eliminate ctx f in
+  let enc =
+    Hybrid.encode ~config ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula
+  in
+  let solver = Solver.create () in
+  let proof = Solver.start_proof solver in
+  let tseitin = Tseitin.create ~mode:Tseitin.Full solver in
+  Tseitin.assert_root tseitin (F.not_ enc.Hybrid.prop_ctx enc.Hybrid.f_bool);
+  let verdict =
+    match Solver.solve solver with
+    | Solver.Unsat -> Verdict.Valid
+    | Solver.Unknown -> Verdict.Unknown "timeout"
+    | Solver.Sat ->
+      Verdict.Invalid
+        (enc.Hybrid.decode (fun i ->
+             match Tseitin.find_var tseitin i with
+             | Some lit -> Solver.value solver lit
+             | None -> false))
+  in
+  {
+    Decide.verdict;
+    certified =
+      (match verdict with
+      | Verdict.Valid -> Some (Sepsat_sat.Drup_check.certified proof)
+      | Verdict.Invalid _ | Verdict.Unknown _ -> None);
+    witness = None;
+    elim;
+    translate_time = 0.;
+    sat_time = 0.;
+    total_time = 0.;
+    phase_times = [];
+    cnf_clauses = Tseitin.clauses_added tseitin;
+    sat_stats = None;
+    encode_stats = Some enc.Hybrid.stats;
+  }
+
+(* Random formulas never reach SepCnt 700, so the checked rule runs at a low
+   threshold here: nearly every class goes through the replay, and either
+   outcome must decide as SD and EIJ do, with certified answers. *)
+let low_threshold t = { Hybrid.default with Hybrid.threshold = t }
+
+let prop_fill_checked =
+  QCheck2.Test.make ~name:"fill-checked rule agrees with SD and EIJ, certified"
+    ~count:150
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 4))
+    (fun (seed, t) ->
+      let ctx = Ast.create_ctx () in
+      let f = Random_formula.generate Random_formula.small ctx ~seed in
+      let r = decide_config (low_threshold t) ctx f in
+      let expected = decide_checked Decide.Sd ctx f in
+      decide_checked Decide.Eij ctx f = expected
+      && (match r.Decide.verdict with
+         | Verdict.Valid -> expected
+         | Verdict.Invalid _ -> not expected
+         | Verdict.Unknown _ -> false)
+      &&
+      match Certify.check ~expect_proof:true f r with
+      | Ok _ -> true
+      | Error e -> QCheck2.Test.fail_reportf "%a" Certify.pp_error e)
+
+(* ... and the random formulas exercise both outcomes of the check. *)
+let test_fill_checked_outcomes () =
+  let passed = ref 0 and failed = ref 0 in
+  for seed = 0 to 199 do
+    let ds =
+      let ctx = Ast.create_ctx () in
+      let f = Random_formula.generate Random_formula.small ctx ~seed in
+      let elim = Decide.eliminate ctx f in
+      snd
+        (Hybrid.decisions ~config:(low_threshold 1) ctx
+           ~p_consts:elim.Elim.p_consts elim.Elim.formula)
+    in
+    Array.iter
+      (fun (d : Hybrid.decision) ->
+        match d.Hybrid.fill with
+        | Hybrid.Fill _ -> incr passed
+        | Hybrid.Over_cap -> incr failed
+        | Hybrid.Unchecked -> ())
+      ds
+  done;
+  Alcotest.(check bool) "some classes pass the check" true (!passed > 0);
+  Alcotest.(check bool) "some classes fail it" true (!failed > 0)
+
 (* Golden CNF shape: clause counts (Polarity and certified Full Tseitin),
    transitivity constraints, F_bool DAG size and, for the methods that run
    vertex elimination, the digest of the DIMACS text [sufdec cnf] prints, for
@@ -273,37 +451,47 @@ let test_regressions () =
    knowingly. *)
 let golden_cnf =
   [
-    (* bench, method, cnf_clauses, certified cnf_clauses, trans, bool_size,
-       DIMACS digest *)
-    ("pipe.3", Decide.Sd, 8699, 11470, 0, 4297, None);
-    ("pipe.3", Decide.Eij, 15129, 28139, 4366, 8647,
+    (* bench, method, cnf_clauses, certified cnf_clauses (None: not
+       checked), trans, bool_size, DIMACS digest *)
+    ("pipe.3", Decide.Sd, 8699, Some 11470, 0, 4297, None);
+    ("pipe.3", Decide.Eij, 15129, Some 28139, 4366, 8647,
      Some "035bb388372bc9998bd4698c8496b43d");
-    ("pipe.3", Decide.Hybrid_default, 7408, 15444, 2408, 4969,
+    ("pipe.3", Decide.Hybrid_default, 7408, Some 15444, 2408, 4969,
      Some "76cf78702545202eca64ace20f8c1397");
-    ("cache.5", Decide.Sd, 3286, 5137, 0, 2129, None);
-    ("cache.5", Decide.Eij, 1957, 7016, 1518, 2257,
+    ("cache.5", Decide.Sd, 3286, Some 5137, 0, 2129, None);
+    ("cache.5", Decide.Eij, 1957, Some 7016, 1518, 2257,
      Some "36a8d31d2b623feded8f8098fffe9451");
-    ("cache.5", Decide.Hybrid_default, 1957, 7016, 1518, 2257,
+    ("cache.5", Decide.Hybrid_default, 1957, Some 7016, 1518, 2257,
      Some "36a8d31d2b623feded8f8098fffe9451");
-    ("batch.0", Decide.Sd, 22683, 53230, 0, 19869, None);
-    ("batch.0", Decide.Eij, 22428, 77143, 21142, 24253,
+    ("batch.0", Decide.Sd, 22683, Some 53230, 0, 19869, None);
+    ("batch.0", Decide.Eij, 22428, Some 77143, 21142, 24253,
      Some "6d3c1858326761ac2c87e33a7a4671c6");
-    ("batch.0", Decide.Hybrid_default, 22428, 77143, 21142, 24253,
+    ("batch.0", Decide.Hybrid_default, 22428, Some 77143, 21142, 24253,
      Some "6d3c1858326761ac2c87e33a7a4671c6");
+    (* lsu.5's one class (SepCnt 782) passes the fill check and goes to
+       EIJ; the paper's rule sends it to SD *)
+    ("lsu.5", Decide.Hybrid_default, 10320, Some 33144, 9288, 11867,
+     Some "d6e6fad4187ee27e749f6eba7ac44b0b");
+    (* certifying this SD run replays a DRUP proof for ~25 s *)
+    ("lsu.5", Decide.Hybrid_at 700, 17657, None, 0, 14095,
+     Some "061a8b5633e3c2ff4ad5e2118a5e238a");
     (* the largest elimination in the suite that completes *)
-    ("ooo.0", Decide.Hybrid_default, 199676, 754357, 198771, 199969,
+    ("ooo.0", Decide.Hybrid_default, 199676, Some 754357, 198771, 199969,
      Some "e3fea9ab69e0c9c531e53aee27f4b8b2");
   ]
 
-let cnf_shape name method_ =
+let cnf_shape ~certified name method_ =
   let bench = Option.get (Suite.find name) in
   let run ~certify =
     let ctx = Ast.create_ctx () in
     Decide.decide ~method_ ~certify ctx (bench.Suite.build ctx)
   in
-  let r = run ~certify:false and rc = run ~certify:true in
+  let r = run ~certify:false in
+  let rc =
+    if certified then Some (run ~certify:true).Decide.cnf_clauses else None
+  in
   let es = Option.get r.Decide.encode_stats in
-  ( (r.Decide.cnf_clauses, rc.Decide.cnf_clauses),
+  ( (r.Decide.cnf_clauses, rc),
     (es.Sepsat_encode.Hybrid.trans_constraints, es.Sepsat_encode.Hybrid.bool_size)
   )
 
@@ -328,11 +516,11 @@ let check_digests () =
 let test_golden_cnf () =
   List.iter
     (fun (name, m, clauses, certified, trans, size, _) ->
-      Alcotest.(check (pair (pair int int) (pair int int)))
+      Alcotest.(check (pair (pair int (option int)) (pair int int)))
         (Printf.sprintf "%s %s: clauses, certified clauses, trans, bool_size"
            name (method_name m))
         ((clauses, certified), (trans, size))
-        (cnf_shape name m))
+        (cnf_shape ~certified:(certified <> None) name m))
     golden_cnf;
   check_digests ()
 
@@ -358,6 +546,15 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_certified_validity;
           Alcotest.test_case "suite certifies" `Quick test_certified_suite;
+        ] );
+      ( "selector",
+        [
+          Alcotest.test_case "suite and batch" `Quick test_selector_suite;
+          Alcotest.test_case "generated pipelines stay SD" `Quick
+            test_selector_pipelines;
+          QCheck_alcotest.to_alcotest prop_fill_checked;
+          Alcotest.test_case "random formulas reach both outcomes" `Quick
+            test_fill_checked_outcomes;
         ] );
       ( "pipeline",
         [
