@@ -54,7 +54,7 @@ let compare_rel = ref 0.25
 let compare_abs = ref 0.05
 
 let usage =
-  "main.exe [--figure 2|3|threshold|4|5|6|hybrid|all] [--deadline S] \
+  "main.exe [--figure 2|3|threshold|4|5|6|hybrid|ablation|all] [--deadline S] \
    [--json PATH] [--strict] [--trace PATH] [--stats] \
    [--log-level quiet|info|debug] [--repeat K] [--flight] [--baseline-out PATH] \
    [--compare PATH] [--compare-rel R] [--compare-abs S] \
@@ -124,6 +124,7 @@ let () =
     | "5" -> Experiments.figure5 ~deadline_s:d ppf
     | "6" -> Experiments.figure6 ~deadline_s:d ppf
     | "hybrid" -> Experiments.figure_hybrid ~deadline_s:d ppf
+    | "ablation" -> Experiments.ablation_threshold ~deadline_s:d ppf
     | "all" -> Experiments.all ~deadline_s:d ppf
     | other -> raise (Arg.Bad ("unknown figure: " ^ other))
   in

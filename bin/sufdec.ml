@@ -6,7 +6,6 @@
    sufdec stats FILE
    sufdec cnf FILE [--method M]                    DIMACS export
    sufdec gen --family F --size N [--bug] [--seed K]
-   sufdec bench [--figure 2|3|threshold|4|5|6|hybrid|all] [--timeout S]
    sufdec list
    sufdec serve [--socket PATH] [--workers N] [--queue N] [--cache N]
                 [--flight-dir DIR]
@@ -107,7 +106,7 @@ let certify_arg =
            checker; valid verdicts then report their certification status. \
            Eager methods only.")
 
-(* -- Observability flags (shared by solve, smt and bench) ----------------- *)
+(* -- Observability flags (shared by solve and smt) ------------------------- *)
 
 let level_conv =
   let parse s =
@@ -353,35 +352,6 @@ let gen_cmd =
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a benchmark formula on stdout.")
     Term.(const run $ family_arg $ size_arg $ bug_arg $ seed_arg)
-
-let bench_cmd =
-  let run figure timeout obs_finish =
-    let ppf = Format.std_formatter in
-    (match figure with
-    | "2" -> Sepsat_harness.Experiments.figure2 ~deadline_s:timeout ppf
-    | "3" -> Sepsat_harness.Experiments.figure3 ~deadline_s:timeout ppf
-    | "threshold" ->
-      ignore (Sepsat_harness.Experiments.threshold_selection ~deadline_s:timeout ppf)
-    | "4" -> Sepsat_harness.Experiments.figure4 ~deadline_s:timeout ppf
-    | "5" -> Sepsat_harness.Experiments.figure5 ~deadline_s:timeout ppf
-    | "6" -> Sepsat_harness.Experiments.figure6 ~deadline_s:timeout ppf
-    | "hybrid" ->
-      Sepsat_harness.Experiments.figure_hybrid ~deadline_s:timeout ppf
-    | "all" -> Sepsat_harness.Experiments.all ~deadline_s:timeout ppf
-    | other ->
-      Format.eprintf "unknown figure %S@." other;
-      exit 2);
-    obs_finish ()
-  in
-  let figure_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:"2, 3, threshold, 4, 5, 6, hybrid or all.")
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ figure_arg $ timeout_arg $ obs_term)
 
 let cnf_cmd =
   let run file method_ =
@@ -1306,7 +1276,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            solve_cmd; smt_cmd; stats_cmd; cnf_cmd; gen_cmd; bench_cmd;
-            list_cmd; serve_cmd; submit_cmd; top_cmd; trace_cmd; loadgen_cmd;
-            fleet_cmd;
+            solve_cmd; smt_cmd; stats_cmd; cnf_cmd; gen_cmd; list_cmd;
+            serve_cmd; submit_cmd; top_cmd; trace_cmd; loadgen_cmd; fleet_cmd;
           ]))

@@ -5,7 +5,6 @@ module Hybrid = Sepsat_encode.Hybrid
 module F = Sepsat_prop.Formula
 module Tseitin = Sepsat_prop.Tseitin
 module Solver = Sepsat_sat.Solver
-module Lit = Sepsat_sat.Lit
 module Deadline = Sepsat_util.Deadline
 module Svc = Sepsat_baselines.Svc
 module Lazy_smt = Sepsat_baselines.Lazy_smt
@@ -166,9 +165,13 @@ let decide_eager ?simplify ~config ~deadline ~certify ctx formula =
     in
     let certified =
       match (verdict, proof) with
-      | Verdict.Valid, Some p -> Some (Sepsat_sat.Drup_check.certified p)
+      | Verdict.Valid, Some p ->
+        Some
+          (Obs.span ~cat:"pipeline" "certify" (fun () ->
+               Sepsat_sat.Drup_check.certified p))
       | (Verdict.Invalid _ | Verdict.Unknown _), Some _ | _, None -> None
     in
+    let t3 = Deadline.now () in
     {
       verdict;
       certified;
@@ -176,14 +179,15 @@ let decide_eager ?simplify ~config ~deadline ~certify ctx formula =
       elim;
       translate_time = t1 -. t0;
       sat_time = t2 -. t1;
-      total_time = t2 -. t0;
+      total_time = t3 -. t0;
       phase_times =
         [
           ("elim", t_elim -. t0);
           ("encode", t_enc -. t_elim);
           ("cnf", t1 -. t_enc);
           ("sat", t2 -. t1);
-        ];
+        ]
+        @ (if certified = None then [] else [ ("certify", t3 -. t2) ]);
       cnf_clauses = Tseitin.clauses_added tseitin;
       sat_stats = Some (Solver.stats solver);
       encode_stats = Some encoded.Hybrid.stats;
@@ -233,127 +237,6 @@ let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
       ctx formula
   | Svc_baseline -> decide_svc ~deadline ctx formula
   | Lazy_baseline -> decide_lazy ?simplify ~deadline ctx formula
-
-(* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
-
-type sweep_point = {
-  sw_threshold : int;
-  sw_verdict : Verdict.t;
-  sw_conflicts : int;
-  sw_time : float;
-}
-
-type sweep = {
-  points : sweep_point list;
-  solver_creates : int;
-  sweep_cnf_clauses : int;
-  sweep_translate_time : float;
-  sweep_stats : Solver.stats option;
-}
-
-let default_sweep_thresholds = [ 0; 50; 200; 400; 700; 2000; max_int ]
-
-let decide_sweep ?(thresholds = default_sweep_thresholds)
-    ?(deadline = Deadline.none) ?simplify ctx formula =
-  let t0 = Deadline.now () in
-  let elim = Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula) in
-  match
-    Obs.span ~cat:"pipeline" "encode.selective" (fun () ->
-        Hybrid.encode_selective ctx ~p_consts:elim.Elim.p_consts
-          elim.Elim.formula)
-  with
-  | exception Hybrid.Translation_blowup ->
-    (* Selector mode routes every class through EIJ too, so its translation
-       can blow up where high fixed thresholds would not; sweep the slow way,
-       one encoding and solver per threshold. *)
-    let points =
-      List.map
-        (fun th ->
-          let r =
-            decide_eager ~config:(Hybrid.hybrid ~threshold:th ()) ~deadline
-              ~certify:false ctx formula
-          in
-          {
-            sw_threshold = th;
-            sw_verdict = r.verdict;
-            sw_conflicts =
-              (match r.sat_stats with
-              | Some st -> st.Solver.conflicts
-              | None -> 0);
-            sw_time = r.total_time;
-          })
-        thresholds
-    in
-    {
-      points;
-      solver_creates = List.length thresholds;
-      sweep_cnf_clauses = 0;
-      sweep_translate_time = Deadline.now () -. t0;
-      sweep_stats = None;
-    }
-  | enc ->
-    let solver = Solver.create () in
-    Solver.set_simplify solver (want_simplify simplify);
-    let tseitin = Tseitin.create solver in
-    Obs.span ~cat:"pipeline" "cnf" (fun () ->
-        Tseitin.assert_root tseitin
-          (F.not_ enc.Hybrid.sel_prop_ctx enc.Hybrid.sel_f_bool));
-    let t1 = Deadline.now () in
-    let sel_lits =
-      Array.map
-        (fun sel -> Tseitin.lit_of_var tseitin (F.var_index sel))
-        enc.Hybrid.selectors
-    in
-    (* Every sweep point re-assumes the full selector vector, so the
-       simplifier must never resolve these variables away between calls. *)
-    Array.iter (fun l -> Solver.freeze solver (Lit.var l)) sel_lits;
-    let points =
-      List.map
-        (fun th ->
-          (* SEP_THOLD = th as an assumption vector over the selectors: class
-             i goes through SD exactly when its SepCnt exceeds th. *)
-          let assumptions =
-            Array.to_list
-              (Array.mapi
-                 (fun i l ->
-                   if enc.Hybrid.sep_cnts.(i) > th then l else Lit.neg l)
-                 sel_lits)
-          in
-          let c0 = (Solver.stats solver).Solver.conflicts in
-          let ta = Deadline.now () in
-          let outcome =
-            Obs.span ~cat:"sweep"
-              (Printf.sprintf "sweep.th=%d" th)
-              (fun () -> Solver.solve ~deadline ~assumptions solver)
-          in
-          let tb = Deadline.now () in
-          let verdict =
-            match outcome with
-            | Solver.Unsat -> Verdict.Valid
-            | Solver.Unknown -> Verdict.Unknown "timeout"
-            | Solver.Sat ->
-              let assign i =
-                match Tseitin.find_var tseitin i with
-                | Some lit -> Solver.value solver lit
-                | None -> false
-              in
-              Verdict.Invalid (enc.Hybrid.sel_decode assign)
-          in
-          {
-            sw_threshold = th;
-            sw_verdict = verdict;
-            sw_conflicts = (Solver.stats solver).Solver.conflicts - c0;
-            sw_time = tb -. ta;
-          })
-        thresholds
-    in
-    {
-      points;
-      solver_creates = 1;
-      sweep_cnf_clauses = Tseitin.clauses_added tseitin;
-      sweep_translate_time = t1 -. t0;
-      sweep_stats = Some (Solver.stats solver);
-    }
 
 let valid ?method_ ctx formula =
   match (decide ?method_ ctx formula).verdict with

@@ -55,7 +55,8 @@ type result = {
   phase_times : (string * float) list;
       (** finer-grained split of [total_time], in pipeline order. Eager
           methods report [elim]/[encode]/[cnf]/[sat] (so [translate_time] =
-          elim + encode + cnf); SVC and LAZY report [elim]/[search]. On an
+          elim + encode + cnf), then [certify] when a DRUP replay ran; SVC
+          and LAZY report [elim]/[search]. On an
           [Unknown] from a translation blowup or timeout the list stops at
           the phase that gave up, which names the culprit. Same CPU clock as
           the coarse fields. *)
@@ -80,9 +81,9 @@ val decide :
     pre/inprocessing; it defaults to {!simplify_default} (initially on). *)
 
 val set_simplify_default : bool -> unit
-(** Sets the process-wide default for the [?simplify] arguments of {!decide}
-    and {!decide_sweep} (and everything layered on them: the bench harness,
-    the differential fuzzer, the serve engine). Initially [true]. Atomic, so
+(** Sets the process-wide default for the [?simplify] argument of {!decide}
+    (and everything layered on it: the bench harness, the differential
+    fuzzer, the serve engine). Initially [true]. Atomic, so
     a toggle is visible to the serve engine's worker domains. *)
 
 val simplify_default : unit -> bool
@@ -101,44 +102,3 @@ val cnf : method_:method_ -> Ast.ctx -> Ast.formula -> Sepsat_sat.Dimacs.cnf
 
 val valid : ?method_:method_ -> Ast.ctx -> Ast.formula -> bool
 (** Convenience wrapper. @raise Failure on an [Unknown] verdict. *)
-
-(** {2 Incremental SEP_THOLD sweep}
-
-    Decides the same formula at several [SEP_THOLD] values on one incremental
-    SAT solver: the selector-literal encoding
-    ({!Sepsat_encode.Hybrid.encode_selective}) defers each class's SD/EIJ
-    routing to a selector variable, and each threshold becomes a vector of
-    assumptions over the selectors. Learnt clauses, activities and saved
-    phases carry across the whole sweep. *)
-
-type sweep_point = {
-  sw_threshold : int;
-  sw_verdict : Verdict.t;
-  sw_conflicts : int;  (** conflicts spent on this threshold alone *)
-  sw_time : float;  (** seconds inside this threshold's [solve] call *)
-}
-
-type sweep = {
-  points : sweep_point list;
-  solver_creates : int;
-      (** SAT solver instances built: 1 on the incremental path, one per
-          threshold on the {!Sepsat_encode.Hybrid.Translation_blowup}
-          fallback *)
-  sweep_cnf_clauses : int;  (** 0 on the fallback path *)
-  sweep_translate_time : float;
-  sweep_stats : Solver.stats option;  (** final solver stats; incremental path only *)
-}
-
-val default_sweep_thresholds : int list
-(** [0; 50; 200; 400; 700; 2000; max_int] — pure SD through pure EIJ. *)
-
-val decide_sweep :
-  ?thresholds:int list ->
-  ?deadline:Sepsat_util.Deadline.t ->
-  ?simplify:bool ->
-  Ast.ctx ->
-  Ast.formula ->
-  sweep
-(** Verdicts agree point-for-point with [decide ~method_:(Hybrid_at t)].
-    [simplify] defaults to {!simplify_default}; the selector variables are
-    frozen so inprocessing never eliminates them between sweep points. *)

@@ -13,27 +13,21 @@ module Metrics = Sepsat_obs.Metrics
 
 exception Translation_blowup
 
-type config = { threshold : int; eij_budget : int; fill_check : bool }
+type config = { threshold : int; fill_check : bool }
 
 let default_threshold = 700
 
+(* Transitivity-constraint budget of every EIJ translation. *)
 let default_budget = 500_000
 
-let default =
-  {
-    threshold = default_threshold;
-    eij_budget = default_budget;
-    fill_check = true;
-  }
+let default = { threshold = default_threshold; fill_check = true }
 
-let sd_only =
-  { threshold = -1; eij_budget = default_budget; fill_check = false }
+let sd_only = { threshold = -1; fill_check = false }
 
-let eij_only =
-  { threshold = max_int; eij_budget = default_budget; fill_check = false }
+let eij_only = { threshold = max_int; fill_check = false }
 
 let hybrid ?(threshold = default_threshold) () =
-  { threshold; eij_budget = default_budget; fill_check = false }
+  { threshold; fill_check = false }
 
 type stats = {
   n_classes : int;
@@ -50,15 +44,6 @@ type encoded = {
   f_bool : F.t;
   stats : stats;
   decode : (int -> bool) -> Brute.assignment;
-}
-
-type selective = {
-  sel_prop_ctx : F.ctx;
-  sel_f_bool : F.t;
-  selectors : F.t array;
-  sep_cnts : int array;
-  sel_stats : stats;
-  sel_decode : (int -> bool) -> Brute.assignment;
 }
 
 let m_trans = lazy (Metrics.counter "encode.trans_constraints")
@@ -220,11 +205,6 @@ let decisions ?(config = default) ctx ~p_consts formula =
   let _, classes = prepare ctx ~p_consts formula in
   (classes, select config classes)
 
-(* How each class's atoms pick their encoding: either fixed at encode time
-   (from a SEP_THOLD comparison) or deferred to a per-class selector
-   variable, so one CNF serves every threshold via assumptions. *)
-type class_mode = Fixed of method_choice array | Selected of F.t array
-
 (* Fixed values realizing the maximally diverse interpretation: above every
    value a class bit-vector can reach, spaced wider than any pair of offsets
    can bridge. *)
@@ -261,22 +241,15 @@ let p_value_fun classes ~p_consts =
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Hybrid: unknown p-constant %S" name)
 
-let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
+let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
+    ~p_consts formula =
   let formula, classes = prepare ctx ~p_consts formula in
   let infos = Classes.classes classes in
   let pctx = F.create_ctx () in
-  let mode = mode_of pctx classes in
-  (* Choice of a class under a propositional model: fixed modes ignore the
-     model, selector mode reads the class's selector variable off it. *)
-  let choice_of assign cls_id =
-    match mode with
-    | Fixed choice -> choice.(cls_id)
-    | Selected sels ->
-      if F.eval assign sels.(cls_id) then Use_sd else Use_eij
-  in
+  let choice = Array.map (fun d -> d.choice) (select config classes) in
   let p_value = p_value_fun classes ~p_consts in
   let sd = Sd.create pctx classes ~p_value in
-  let eij = Eij.create ~budget:eij_budget pctx in
+  let eij = Eij.create ~budget:default_budget pctx in
   let is_p name = Classes.is_p classes name in
   let gmap = Sep.Ground_map.create ctx in
   let bconst_vars : (string, F.t) Hashtbl.t = Hashtbl.create 16 in
@@ -315,22 +288,10 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
       | Ast.Lt (t1, t2) -> encode_pairs t1 t2 (Eij.encode_lt eij ~is_p)
       | _ -> assert false
     in
-    match (Classes.atom_class classes atom, mode) with
-    | Some cls, Fixed choice ->
-      if choice.(cls.Classes.id) = Use_sd then
-        Sd.encode_atom sd ~encode_formula:encode_f ~cls atom
-      else encode_eij ()
-    | Some cls, Selected sels ->
-      (* Both encodings are built; the selector picks which one the atom
-         means. The unselected side's variables are left unconstrained by
-         F_bvar (its domain/transitivity constraints remain satisfiable on
-         their own), so validity under a fixed selector assignment coincides
-         with the corresponding fixed-threshold encoding. *)
-      F.ite pctx
-        sels.(cls.Classes.id)
-        (Sd.encode_atom sd ~encode_formula:encode_f ~cls atom)
-        (encode_eij ())
-    | None, _ -> encode_eij ()
+    match Classes.atom_class classes atom with
+    | Some cls when choice.(cls.Classes.id) = Use_sd ->
+      Sd.encode_atom sd ~encode_formula:encode_f ~cls atom
+    | Some _ | None -> encode_eij ()
   and encode_pairs t1 t2 encode_ground_pair =
     let g1s = Sep.Ground_map.of_term gmap t1 in
     let g2s = Sep.Ground_map.of_term gmap t2 in
@@ -364,19 +325,13 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
      both the realizability constraints and the finite domains. *)
   let f_bool = F.implies pctx (F.and_ pctx f_trans f_domain) f_bvar in
   let sd_classes =
-    match mode with
-    | Fixed choice ->
-      Array.fold_left (fun n c -> if c = Use_sd then n + 1 else n) 0 choice
-    | Selected _ -> 0
+    Array.fold_left (fun n c -> if c = Use_sd then n + 1 else n) 0 choice
   in
   let stats =
     {
       n_classes = Array.length infos;
       sd_classes;
-      eij_classes =
-        (match mode with
-        | Fixed _ -> Array.length infos - sd_classes
-        | Selected _ -> 0);
+      eij_classes = Array.length infos - sd_classes;
       total_sep_cnt = Classes.total_sep_cnt classes;
       eij_predicates = Eij.num_predicates eij;
       trans_constraints = Eij.num_trans_constraints eij;
@@ -396,16 +351,9 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
         bconst_vars []
       |> List.sort compare
     in
-    (* In selector mode the SD encoder covered every class; keep only the
-       constants of classes the model actually routed through SD. *)
-    let sd_ints =
-      List.filter
-        (fun (name, _) ->
-          match Classes.const_class classes name with
-          | Some cls -> choice_of assign cls.Classes.id = Use_sd
-          | None -> true)
-        (Sd.decode_consts sd assign)
-    in
+    (* SD allocates bit-vectors only for the constants of the classes it
+       encodes. *)
+    let sd_ints = Sd.decode_consts sd assign in
     (* EIJ classes: rebuild the difference constraints a model asserts and
        read integer values off shortest paths, then shift each class below
        the p-constant region (classes are independent, so a uniform per-class
@@ -437,7 +385,7 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
     in
     Array.iter
       (fun (cls : Classes.class_info) ->
-        if choice_of assign cls.id = Use_eij then begin
+        if choice.(cls.id) = Use_eij then begin
           let ds = Diff_solver.create () in
           List.iter (fun m -> ignore (Diff_solver.node ds m)) cls.members;
           (match Hashtbl.find_opt by_class cls.id with
@@ -464,38 +412,4 @@ let encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula =
     (* Only constants of the formula matter; extra p entries are harmless. *)
     { Brute.ints = sd_ints @ List.sort compare !eij_ints @ p_ints; bools }
   in
-  (pctx, f_bool, stats, decode, mode, infos)
-
-let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
-    ~p_consts formula =
-  let mode_of _pctx classes =
-    Fixed (Array.map (fun d -> d.choice) (select config classes))
-  in
-  let pctx, f_bool, stats, decode, _mode, _infos =
-    encode_core ~mode_of ~eij_budget:config.eij_budget ~deadline ctx ~p_consts
-      formula
-  in
   { prop_ctx = pctx; f_bool; stats; decode }
-
-let encode_selective ?(eij_budget = default_budget)
-    ?(deadline = Sepsat_util.Deadline.none) ctx ~p_consts formula =
-  let mode_of pctx classes =
-    Selected
-      (Array.map
-         (fun (_ : Classes.class_info) -> F.fresh_var pctx)
-         (Classes.classes classes))
-  in
-  let pctx, f_bool, stats, decode, mode, infos =
-    encode_core ~mode_of ~eij_budget ~deadline ctx ~p_consts formula
-  in
-  let selectors =
-    match mode with Selected sels -> sels | Fixed _ -> assert false
-  in
-  {
-    sel_prop_ctx = pctx;
-    sel_f_bool = f_bool;
-    selectors;
-    sep_cnts = Array.map (fun (c : Classes.class_info) -> c.sep_cnt) infos;
-    sel_stats = stats;
-    sel_decode = decode;
-  }

@@ -28,11 +28,12 @@ exception Translation_blowup
 
 type config = {
   threshold : int;  (** the paper's [SEP_THOLD]; default 700 (§4.1) *)
-  eij_budget : int;  (** transitivity-constraint budget *)
   fill_check : bool;
       (** check every class above [threshold] before sending it to SD;
           [false] is the paper's exact rule *)
 }
+(** Every configuration translates EIJ classes under the same budget of
+    500,000 transitivity constraints. *)
 
 val default_threshold : int
 (** 700, the value the paper's clustering procedure selects. *)
@@ -115,39 +116,4 @@ val encode :
     @raise Translation_blowup when EIJ translation exceeds its budget.
     @raise Sepsat_util.Deadline.Timeout when the deadline fires during
     translation.
-    @raise Invalid_argument if the formula contains applications. *)
-
-type selective = {
-  sel_prop_ctx : F.ctx;
-  sel_f_bool : F.t;
-  selectors : F.t array;
-      (** per-class selector variables, indexed by class id: forcing
-          [selectors.(i)] true routes class [i]'s atoms through SD, false
-          through EIJ. Fixing every selector (e.g. as SAT assumptions)
-          recovers the fixed-threshold encoding of any [SEP_THOLD] from one
-          CNF. *)
-  sep_cnts : int array;
-      (** per-class [SepCnt], the quantity [SEP_THOLD] thresholds against;
-          selector [i] should be assumed true iff [sep_cnts.(i) > threshold] *)
-  sel_stats : stats;  (** [sd_classes]/[eij_classes] are 0: not fixed here *)
-  sel_decode : (int -> bool) -> Brute.assignment;
-      (** reads the selector values off the model itself, so it decodes
-          correctly whatever threshold the assumptions imposed *)
-}
-
-val encode_selective :
-  ?eij_budget:int ->
-  ?deadline:Sepsat_util.Deadline.t ->
-  Ast.ctx ->
-  p_consts:Sset.t ->
-  Ast.formula ->
-  selective
-(** Threshold-deferred encoding: every class is encoded both ways, with
-    per-atom if-then-else on the class selector. One propositional formula
-    (and hence one incremental SAT solver) then serves a whole [SEP_THOLD]
-    sweep via {!Sepsat_sat.Solver.solve}'s [assumptions]. Because EIJ runs on
-    every class (not just the small ones), the translation budget can be
-    exhausted where a fixed high threshold would not — callers should fall
-    back to per-threshold {!encode} on {!Translation_blowup}.
-    @raise Translation_blowup when EIJ translation exceeds its budget.
     @raise Invalid_argument if the formula contains applications. *)

@@ -210,43 +210,37 @@ let figure6 ?(deadline_s = default_deadline) ppf =
 
 (* -- Ablations ------------------------------------------------------------ *)
 
+(* Pure SD through pure EIJ. *)
+let ablation_thresholds = [ 0; 50; 200; 400; 700; 2000; max_int ]
+
 let ablation_threshold ?(deadline_s = default_deadline) ppf =
   Format.fprintf ppf
-    "== Ablation: HYBRID search time across the SEP_THOLD sweep ==@.";
-  Format.fprintf ppf
-    "(one incremental SAT solver per benchmark; thresholds are assumption@.\
-    \ vectors over the selector-literal encoding)@.";
-  let thresholds = Decide.default_sweep_thresholds in
+    "== Ablation: HYBRID total time across SEP_THOLD (cold runs) ==@.";
   let thold_label t = if t = max_int then "inf" else string_of_int t in
   Format.fprintf ppf "%-10s" "Benchmark";
-  List.iter (fun t -> Format.fprintf ppf " %8s" (thold_label t)) thresholds;
-  Format.fprintf ppf " %8s@." "solvers";
+  List.iter
+    (fun t -> Format.fprintf ppf " %8s" (thold_label t))
+    ablation_thresholds;
+  Format.fprintf ppf "@.";
   List.iter
     (fun name ->
       match Suite.find name with
       | None -> ()
       | Some bench ->
-        let ctx = Sepsat_suf.Ast.create_ctx () in
-        let formula = bench.Sepsat_workloads.Suite.build ctx in
-        let sweep =
-          Decide.decide_sweep ~thresholds
-            ~deadline:(Sepsat_util.Deadline.after deadline_s)
-            ctx formula
-        in
         Format.fprintf ppf "%-10s" name;
         List.iter
-          (fun (p : Decide.sweep_point) ->
-            match p.Decide.sw_verdict with
-            | Verdict.Unknown _ -> Format.fprintf ppf " %8s" "t/o"
-            | Verdict.Valid | Verdict.Invalid _ ->
-              Format.fprintf ppf " %8.2f" p.Decide.sw_time)
-          sweep.Decide.points;
-        Format.fprintf ppf " %8d@." sweep.Decide.solver_creates)
+          (fun t ->
+            let method_ =
+              if t = max_int then Decide.Eij else Decide.Hybrid_at t
+            in
+            Format.fprintf ppf " %a" pp_time
+              (Runner.run ~deadline_s method_ bench))
+          ablation_thresholds;
+        Format.fprintf ppf "@.")
     [ "pipe.4"; "lsu.4"; "cache.5"; "tv.2"; "drv.4"; "ooo.1" ];
   Format.fprintf ppf
-    "(SEP_THOLD = 0 is pure SD, SEP_THOLD = inf is pure EIJ; the default@.\
-    \ sits where neither extreme dominates; solvers = SAT solver instances@.\
-    \ created for the whole sweep — 1 on the incremental path)@.@."
+    "(SEP_THOLD = 0 is pure SD, SEP_THOLD = inf is pure EIJ; each cell is@.\
+    \ one fresh decide at that threshold)@.@."
 
 let ablation_positive_equality ?(deadline_s = default_deadline) ppf =
   Format.fprintf ppf

@@ -36,10 +36,10 @@ val figure_hybrid : ?deadline_s:float -> Format.formatter -> unit
     of each run: the HYBRID rows of the perf-gate baseline. *)
 
 val ablation_threshold : ?deadline_s:float -> Format.formatter -> unit
-(** Design-choice ablation: HYBRID search time across a SEP_THOLD sweep on
-    representative benchmarks, run as assumption vectors against a single
-    incremental SAT solver ({!Sepsat.Decide.decide_sweep}), showing the
-    SD/EIJ crossover the default threshold balances. *)
+(** Design-choice ablation: total time of the paper's HYBRID rule at each
+    SEP_THOLD in [0; 50; 200; 400; 700; 2000; ∞] on six representative
+    benchmarks, one cold {!Runner.run} per cell ([∞] is [Eij]), showing what
+    each threshold costs on its own. *)
 
 val ablation_positive_equality : ?deadline_s:float -> Format.formatter -> unit
 (** Design-choice ablation: encoding cost with and without the

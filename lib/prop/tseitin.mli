@@ -32,13 +32,10 @@ type mode =
 val create : ?mode:mode -> Sepsat_sat.Solver.t -> t
 (** [mode] defaults to {!Polarity}. *)
 
-val lit_of_var : t -> int -> Sepsat_sat.Lit.t
-(** Solver literal standing for a formula variable index; allocated (and
-    cached) on demand, so the caller can decode models. *)
-
 val find_var : t -> int -> Sepsat_sat.Lit.t option
-(** Like {!lit_of_var} but without allocating: [None] means the formula
-    variable never reached the solver (its value is unconstrained). *)
+(** Solver literal standing for a formula variable index, so the caller can
+    decode models; [None] means the formula variable never reached the
+    solver (its value is unconstrained). *)
 
 val encode : t -> Formula.t -> Sepsat_sat.Lit.t
 (** Returns the literal equisatisfiably representing the formula; definition

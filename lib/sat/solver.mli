@@ -11,7 +11,7 @@
     [solve ~assumptions] decides satisfiability under a temporary conjunction
     of literals without committing them, and learned clauses, variable
     activities and saved phases persist across calls. The lazy CVC-style
-    refinement loop and the hybrid threshold sweep are built on this. *)
+    refinement loop is built on this. *)
 
 type t
 
@@ -60,8 +60,8 @@ val simplify : t -> unit
 val freeze : t -> int -> unit
 (** Marks a variable untouchable by the simplifier (never eliminated, never a
     blocking witness). [solve] freezes assumption variables automatically;
-    freeze manually when a variable's semantics must survive, e.g. selector
-    variables looked up in models without being assumed every call. *)
+    freeze manually when a variable's semantics must survive, e.g. a
+    variable looked up in models without being assumed every call. *)
 
 val is_eliminated : t -> int -> bool
 (** Whether the simplifier currently has this variable eliminated. Eliminated

@@ -118,7 +118,7 @@ let test_eij_triangle () =
     (F.and_list pctx [ f_trans; exy; eyz; F.not_ pctx ezx ]);
   Alcotest.(check bool) "chain allowed" true (Solver.solve solver2 = Solver.Sat)
 
-let test_eij_budget () =
+let test_trans_budget () =
   let pctx = F.create_ctx () in
   let eij = Eij.create ~budget:3 pctx in
   let is_p _ = false in
@@ -326,7 +326,7 @@ let () =
         [
           Alcotest.test_case "variable sharing" `Quick test_eij_sharing;
           Alcotest.test_case "triangle realizability" `Quick test_eij_triangle;
-          Alcotest.test_case "budget" `Quick test_eij_budget;
+          Alcotest.test_case "budget" `Quick test_trans_budget;
           Alcotest.test_case "derived bound reuses original" `Quick
             test_eij_derived_reuse;
           QCheck_alcotest.to_alcotest prop_eij_exact;

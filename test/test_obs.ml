@@ -869,6 +869,25 @@ let test_pipeline_spans_end_to_end () =
   Alcotest.(check int) "four phases" 4
     (List.length r.Sepsat.Decide.phase_times)
 
+(* A certified valid run: the DRUP replay is a span and a phase of its own,
+   so --stats attributes the time it takes. *)
+let test_certify_span_and_phase () =
+  fresh ();
+  let ctx = Sepsat_suf.Ast.create_ctx () in
+  let f =
+    match Sepsat_workloads.Suite.find "cache.5" with
+    | Some b -> b.Sepsat_workloads.Suite.build ctx
+    | None -> Alcotest.fail "cache.5 missing"
+  in
+  let r = Sepsat.Decide.decide ~certify:true ctx f in
+  Alcotest.(check (option bool)) "certified" (Some true)
+    r.Sepsat.Decide.certified;
+  Alcotest.(check bool) "certify span present" true
+    (List.mem "certify" (span_names ()));
+  Alcotest.(check (list string)) "phases"
+    [ "elim"; "encode"; "cnf"; "sat"; "certify" ]
+    (List.map fst r.Sepsat.Decide.phase_times)
+
 (* ------------------------------------------------------------------ *)
 (* Clock: the process-global monotone-clamped wall clock behind trace
    timestamps and cross-process dump anchors *)
@@ -1001,5 +1020,7 @@ let () =
         [
           Alcotest.test_case "end-to-end spans" `Quick
             test_pipeline_spans_end_to_end;
+          Alcotest.test_case "certify span and phase" `Quick
+            test_certify_span_and_phase;
         ] );
     ]

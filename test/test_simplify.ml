@@ -256,7 +256,7 @@ let test_figure2_certified () =
           (Some true) r.Decide.certified)
     [ "pipe.3"; "cache.5"; "tv.1" ]
 
-(* -- Sweep product path under inprocessing ---------------------------------- *)
+(* -- Threshold ablation under inprocessing -------------------------------- *)
 
 let test_sweep_verdicts_simplify_invariant () =
   List.iter
@@ -264,24 +264,26 @@ let test_sweep_verdicts_simplify_invariant () =
       match Suite.find name with
       | None -> Alcotest.fail ("unknown benchmark " ^ name)
       | Some b ->
-        let sweep_with simplify =
-          let ctx = Ast.create_ctx () in
-          let f = b.Suite.build ?bug ctx in
-          let sw =
-            Decide.decide_sweep ~deadline:(Deadline.after 60.) ~simplify ctx f
-          in
+        let verdicts_with simplify =
           List.map
-            (fun p ->
-              ( p.Decide.sw_threshold,
-                match p.Decide.sw_verdict with
+            (fun t ->
+              let ctx = Ast.create_ctx () in
+              let f = b.Suite.build ?bug ctx in
+              let r =
+                Decide.decide ~method_:(Decide.Hybrid_at t)
+                  ~deadline:(Deadline.after 60.) ~simplify ctx f
+              in
+              ( t,
+                match r.Decide.verdict with
                 | Verdict.Valid -> "valid"
                 | Verdict.Invalid _ -> "invalid"
                 | Verdict.Unknown _ -> "unknown" ))
-            sw.Decide.points
+            (* the ablation's thresholds, pure SD through pure EIJ *)
+            [ 0; 50; 200; 400; 700; 2000; max_int ]
         in
         Alcotest.(check (list (pair int string)))
-          (name ^ " sweep agrees on/off")
-          (sweep_with false) (sweep_with true))
+          (name ^ " per-threshold verdicts agree on/off")
+          (verdicts_with false) (verdicts_with true))
     [ ("drv.1", None); ("drv.1", Some true); ("cache.3", None) ]
 
 (* -- Properties ----------------------------------------------------------- *)
