@@ -57,12 +57,6 @@ val simplify : t -> unit
     [set_simplify] setting). Mainly for tests and tooling; [solve] schedules
     simplification itself when enabled. *)
 
-val freeze : t -> int -> unit
-(** Marks a variable untouchable by the simplifier (never eliminated, never a
-    blocking witness). [solve] freezes assumption variables automatically;
-    freeze manually when a variable's semantics must survive, e.g. a
-    variable looked up in models without being assumed every call. *)
-
 val is_eliminated : t -> int -> bool
 (** Whether the simplifier currently has this variable eliminated. Eliminated
     variables still receive model values (via the reconstruction stack) but

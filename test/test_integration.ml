@@ -472,7 +472,7 @@ let golden_cnf =
        EIJ; the paper's rule sends it to SD *)
     ("lsu.5", Decide.Hybrid_default, 10320, Some 33144, 9288, 11867,
      Some "d6e6fad4187ee27e749f6eba7ac44b0b");
-    (* certifying this SD run replays a DRUP proof for ~25 s *)
+    (* certifying this SD run replays a DRUP proof for ~3-4 s (release) *)
     ("lsu.5", Decide.Hybrid_at 700, 17657, None, 0, 14095,
      Some "061a8b5633e3c2ff4ad5e2118a5e238a");
     (* the largest elimination in the suite that completes *)

@@ -370,6 +370,73 @@ let test_proof_phantom_deletion () =
   Alcotest.check drup_result_t "phantom deletion ignored" Drup_check.Certified
     (Drup_check.check trace)
 
+let test_proof_reactivation () =
+  (* The lemma's support (a -b) is deleted after the lemma: checking the
+     lemma must see the database as it was at the lemma's step. *)
+  let a = Lit.of_dimacs 1 and b = Lit.of_dimacs 2 in
+  Alcotest.check drup_result_t "certified" Drup_check.Certified
+    (Drup_check.check
+       [
+         Proof.Input [ a; b ];
+         Proof.Input [ a; Lit.neg b ];
+         Proof.Learned [ a ];
+         Proof.Deleted [ a; Lit.neg b ];
+         Proof.Deleted [ a; b ];
+         Proof.Input [ Lit.neg a ];
+         Proof.Learned [];
+       ])
+
+let test_proof_core_only () =
+  (* Only the lemmas the refutation depends on are checked: a bogus lemma
+     on the way to the conflict is reported at its step, an unused one is
+     not reported at all. *)
+  let a = Lit.of_dimacs 1 and b = Lit.of_dimacs 2 and c = Lit.of_dimacs 3 in
+  (match
+     Drup_check.check
+       [
+         Proof.Input [ a; b ];
+         Proof.Learned [ Lit.neg a ] (* not RUP, and used below *);
+         Proof.Input [ a ];
+         Proof.Learned [];
+       ]
+   with
+  | Drup_check.Bogus m ->
+    Alcotest.(check string)
+      "reported at its step" "step 2: clause {-1} is not RUP" m
+  | Drup_check.Certified | Drup_check.Incomplete ->
+    Alcotest.fail "used bogus lemma accepted");
+  Alcotest.check drup_result_t "unused bogus lemma ignored" Drup_check.Certified
+    (Drup_check.check
+       [
+         Proof.Input [ a; b ];
+         Proof.Learned [ c ] (* not RUP, and never used *);
+         Proof.Input [ Lit.neg a ];
+         Proof.Input [ Lit.neg b ];
+         Proof.Learned [];
+       ])
+
+let test_proof_metrics () =
+  (* The lemma count and the checked-core count go to [Metrics]. *)
+  let module Metrics = Sepsat_obs.Metrics in
+  let a = Lit.of_dimacs 1 and b = Lit.of_dimacs 2 and c = Lit.of_dimacs 3 in
+  let lemmas = Metrics.counter "drup.lemmas" in
+  let checked = Metrics.counter "drup.core_checked" in
+  Sepsat_obs.Obs.enable ();
+  Fun.protect ~finally:Sepsat_obs.Obs.disable (fun () ->
+      let l0 = Metrics.get lemmas and c0 = Metrics.get checked in
+      Alcotest.check drup_result_t "certified" Drup_check.Certified
+        (Drup_check.check
+           [
+             Proof.Input [ a; b ];
+             Proof.Input [ a; Lit.neg b ];
+             Proof.Learned [ c; Lit.neg c ];
+             Proof.Learned [ a ];
+             Proof.Input [ Lit.neg a ];
+             Proof.Learned [];
+           ]);
+      Alcotest.(check int) "lemmas" 3 (Metrics.get lemmas - l0);
+      Alcotest.(check int) "core lemmas checked" 1 (Metrics.get checked - c0))
+
 let test_proof_empty_learned () =
   let a = Lit.of_dimacs 1 in
   (* the empty clause is RUP exactly when propagation alone conflicts *)
@@ -429,20 +496,72 @@ let test_proof_across_restarts () =
     (Drup_check.certified proof2)
 
 (* Property: every UNSAT answer on random CNF comes with a certifiable
-   proof. *)
+   proof, with the simplifier on (its resolvents and deletions are in the
+   trace) and off. *)
 let prop_random_unsat_certifies =
   QCheck2.Test.make ~name:"random unsat proofs certify" ~count:300
     (gen_cnf ~nvars:10 ~nclauses:55 ~width:3)
     (fun clauses ->
-      let s = Solver.create () in
-      let proof = Solver.start_proof s in
-      for _ = 1 to 10 do
-        ignore (Solver.new_var s)
-      done;
-      List.iter (Solver.add_clause s) clauses;
-      match Solver.solve s with
-      | Solver.Unsat -> Drup_check.certified proof
-      | Solver.Sat | Solver.Unknown -> true)
+      List.for_all
+        (fun simplify ->
+          let s = Solver.create () in
+          Solver.set_simplify s simplify;
+          let proof = Solver.start_proof s in
+          for _ = 1 to 10 do
+            ignore (Solver.new_var s)
+          done;
+          List.iter (Solver.add_clause s) clauses;
+          match Solver.solve s with
+          | Solver.Unsat -> Drup_check.certified proof
+          | Solver.Sat | Solver.Unknown -> true)
+        [ false; true ])
+
+(* Property: the checker is sound. A satisfiable CNF followed by random
+   lemmas (most of them not RUP), random deletions and a final empty clause
+   is never certified, whichever lemmas the refutation happens to use. *)
+let prop_sat_cnf_never_certified =
+  let open QCheck2.Gen in
+  let gen =
+    let* nvars = int_range 2 12 in
+    let lit = map2 Lit.make (int_bound (nvars - 1)) bool in
+    let extra =
+      triple (int_bound 2) (int_bound 100) (list_size (int_range 1 3) lit)
+    in
+    let* cnf = gen_cnf ~nvars ~nclauses:(3 * nvars) ~width:3 in
+    let* extras = list_size (int_bound 20) extra in
+    return (nvars, (cnf, extras))
+  in
+  let trace (cnf, extras) =
+    List.map (fun c -> Proof.Input c) cnf
+    @ List.map
+        (fun (kind, i, c) ->
+          match kind with
+          | 0 -> Proof.Learned c
+          | 1 -> Proof.Deleted c
+          | _ when cnf = [] -> Proof.Deleted c
+          | _ -> Proof.Deleted (List.nth cnf (i mod List.length cnf)))
+        extras
+    @ [ Proof.Learned [] ]
+  in
+  let print x =
+    Format.asprintf "%a"
+      (Format.pp_print_list (fun ppf step ->
+           let kind, c =
+             match step with
+             | Proof.Input c -> ("i", c)
+             | Proof.Learned c -> ("l", c)
+             | Proof.Deleted c -> ("d", c)
+           in
+           Format.fprintf ppf "%s %a" kind
+             (Format.pp_print_list ~pp_sep:Format.pp_print_space Lit.pp)
+             c))
+      (trace x)
+  in
+  QCheck2.Test.make ~name:"satisfiable cnf never certified" ~count:500
+    ~print:(fun (_, x) -> print x)
+    gen (fun (nvars, ((cnf, _) as x)) ->
+      (not (brute_force_sat nvars cnf))
+      || Drup_check.check (trace x) <> Drup_check.Certified)
 
 let prop_random_cnf ~name ~nvars ~nclauses ~width ~count =
   QCheck2.Test.make ~name ~count (gen_cnf ~nvars ~nclauses ~width)
@@ -652,11 +771,16 @@ let () =
             test_proof_deletion_honoured;
           Alcotest.test_case "phantom deletion" `Quick
             test_proof_phantom_deletion;
+          Alcotest.test_case "reactivated support" `Quick
+            test_proof_reactivation;
+          Alcotest.test_case "core-only checking" `Quick test_proof_core_only;
+          Alcotest.test_case "lemma metrics" `Quick test_proof_metrics;
           Alcotest.test_case "empty learned clause" `Quick
             test_proof_empty_learned;
           Alcotest.test_case "replay across restarts" `Slow
             test_proof_across_restarts;
           QCheck_alcotest.to_alcotest prop_random_unsat_certifies;
+          QCheck_alcotest.to_alcotest prop_sat_cnf_never_certified;
         ] );
       ( "incremental",
         [

@@ -99,19 +99,6 @@ let test_blocked_clause () =
         (List.exists (fun l -> Solver.value s l) c))
     clauses
 
-let test_frozen_never_eliminated () =
-  let s = Solver.create () in
-  let v = fresh_vars s 4 in
-  (* v0 has exactly one positive and one negative occurrence — the easiest
-     possible elimination — but freezing must protect it *)
-  Solver.freeze s v.(0);
-  Solver.add_clause s [ Lit.pos v.(0); Lit.pos v.(1) ];
-  Solver.add_clause s [ Lit.neg_of v.(0); Lit.pos v.(2) ];
-  Solver.add_clause s [ Lit.pos v.(3); Lit.pos v.(1) ];
-  Solver.simplify s;
-  Alcotest.(check bool) "frozen var survives" false (Solver.is_eliminated s v.(0));
-  Alcotest.check result_t "sat" Solver.Sat (Solver.solve s)
-
 let test_assumption_vars_not_eliminated () =
   let s = Solver.create () in
   Solver.set_simplify s true;
@@ -443,8 +430,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "frozen never eliminated" `Quick
-            test_frozen_never_eliminated;
           Alcotest.test_case "assumption vars protected" `Quick
             test_assumption_vars_not_eliminated;
           Alcotest.test_case "restore on add" `Quick test_restore_on_add;
