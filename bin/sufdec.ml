@@ -472,15 +472,7 @@ let serve_cmd =
     | None ->
       (* Stdio mode still gets the scrape socket: the JSON-lines stream is
          owned by the client, so HTTP is the only side channel. *)
-      let stop = Atomic.make false in
-      let metrics_th =
-        Option.map
-          (fun p -> Server.serve_metrics ~path:p ~stop)
-          metrics_socket
-      in
-      ignore (Server.serve_channels engine stdin stdout);
-      Atomic.set stop true;
-      Option.iter Thread.join metrics_th);
+      ignore (Server.serve_stdio ?metrics_path:metrics_socket engine));
     Engine.shutdown engine;
     log_close ();
     obs_finish ()

@@ -14,9 +14,9 @@ module Deadline = Sepsat_util.Deadline
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 
-let m_iterations = lazy (Metrics.counter "lazy.iterations")
+let m_iterations = Metrics.handle Metrics.counter "lazy.iterations"
 
-let m_lemmas = lazy (Metrics.counter "lazy.lemmas")
+let m_lemmas = Metrics.handle Metrics.counter "lazy.lemmas"
 
 type stats = {
   iterations : int;
@@ -92,7 +92,7 @@ let decide ?(simplify = false) ?(deadline = Deadline.none) ctx formula =
   let step () =
     Deadline.check deadline;
     incr iterations;
-    Metrics.incr (Lazy.force m_iterations);
+    Metrics.incr (m_iterations ());
     match Solver.solve ~deadline ~assumptions:[ Lit.neg act ] solver with
     | Solver.Unsat -> Some Verdict.Valid
     | Solver.Unknown -> Some (Verdict.Unknown "timeout")
@@ -135,7 +135,7 @@ let decide ?(simplify = false) ?(deadline = Deadline.none) ctx formula =
         (* The negative cycle's negation, as in CVC's incremental
            translation. *)
         incr conflict_clauses;
-        Metrics.incr (Lazy.force m_lemmas);
+        Metrics.incr (m_lemmas ());
         Solver.add_clause solver (act :: cycle_lits);
         None)
   in

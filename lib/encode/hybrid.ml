@@ -46,13 +46,13 @@ type encoded = {
   decode : (int -> bool) -> Brute.assignment;
 }
 
-let m_trans = lazy (Metrics.counter "encode.trans_constraints")
+let m_trans = Metrics.handle Metrics.counter "encode.trans_constraints"
 
-let m_eij_predicates = lazy (Metrics.counter "encode.eij_predicates")
+let m_eij_predicates = Metrics.handle Metrics.counter "encode.eij_predicates"
 
-let m_sd_classes = lazy (Metrics.counter "encode.sd_classes")
+let m_sd_classes = Metrics.handle Metrics.counter "encode.sd_classes"
 
-let m_eij_classes = lazy (Metrics.counter "encode.eij_classes")
+let m_eij_classes = Metrics.handle Metrics.counter "encode.eij_classes"
 
 type method_choice = Use_sd | Use_eij
 
@@ -339,10 +339,10 @@ let encode ?(config = default) ?(deadline = Sepsat_util.Deadline.none) ctx
     }
   in
   if Obs.enabled () then begin
-    Metrics.add (Lazy.force m_trans) stats.trans_constraints;
-    Metrics.add (Lazy.force m_eij_predicates) stats.eij_predicates;
-    Metrics.add (Lazy.force m_sd_classes) stats.sd_classes;
-    Metrics.add (Lazy.force m_eij_classes) stats.eij_classes
+    Metrics.add (m_trans ()) stats.trans_constraints;
+    Metrics.add (m_eij_predicates ()) stats.eij_predicates;
+    Metrics.add (m_sd_classes ()) stats.sd_classes;
+    Metrics.add (m_eij_classes ()) stats.eij_classes
   end;
   let decode assign =
     let bools =

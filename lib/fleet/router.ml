@@ -35,6 +35,8 @@ module Ast = Sepsat_suf.Ast
 module Parse = Sepsat_suf.Parse
 module Smtlib = Sepsat_suf.Smtlib
 module Protocol = Sepsat_serve.Protocol
+module Poll = Sepsat_serve.Poll
+module Lineconn = Sepsat_serve.Lineconn
 module Json = Sepsat_util.Json
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
@@ -144,21 +146,21 @@ type t = {
   started_at : float;
 }
 
-let m_requests = lazy (Metrics.counter "fleet.requests")
-let m_busy = lazy (Metrics.counter "fleet.busy")
-let m_errors = lazy (Metrics.counter "fleet.errors")
-let m_disk_hits = lazy (Metrics.counter "fleet.disk.hits")
-let m_redispatch = lazy (Metrics.counter "fleet.redispatch")
-let m_clients = lazy (Metrics.gauge "fleet.clients")
+let m_requests = Metrics.handle Metrics.counter "fleet.requests"
+let m_busy = Metrics.handle Metrics.counter "fleet.busy"
+let m_errors = Metrics.handle Metrics.counter "fleet.errors"
+let m_disk_hits = Metrics.handle Metrics.counter "fleet.disk.hits"
+let m_redispatch = Metrics.handle Metrics.counter "fleet.redispatch"
+let m_clients = Metrics.handle Metrics.gauge "fleet.clients"
 
 (* The six-hop latency decomposition of a fleet request, as histograms
    (seconds, rid exemplars): where did the time go, across processes. *)
-let m_hop_parse = lazy (Metrics.histogram "fleet.hop.router_parse_s")
-let m_hop_queue = lazy (Metrics.histogram "fleet.hop.router_queue_s")
-let m_hop_wire = lazy (Metrics.histogram "fleet.hop.wire_s")
-let m_hop_shard_queue = lazy (Metrics.histogram "fleet.hop.shard_queue_s")
-let m_hop_solve = lazy (Metrics.histogram "fleet.hop.shard_solve_s")
-let m_hop_reply = lazy (Metrics.histogram "fleet.hop.reply_s")
+let m_hop_parse = Metrics.handle Metrics.histogram "fleet.hop.router_parse_s"
+let m_hop_queue = Metrics.handle Metrics.histogram "fleet.hop.router_queue_s"
+let m_hop_wire = Metrics.handle Metrics.histogram "fleet.hop.wire_s"
+let m_hop_shard_queue = Metrics.handle Metrics.histogram "fleet.hop.shard_queue_s"
+let m_hop_solve = Metrics.handle Metrics.histogram "fleet.hop.shard_solve_s"
+let m_hop_reply = Metrics.handle Metrics.histogram "fleet.hop.reply_s"
 
 let stop_flag = Atomic.make false
 
@@ -187,24 +189,18 @@ let drop_client t cl_id =
     Hashtbl.remove t.by_fd (Lineconn.fd cl.cl_conn);
     Poll.remove t.poll (Lineconn.fd cl.cl_conn);
     Lineconn.close cl.cl_conn;
-    Metrics.set (Lazy.force m_clients) (float_of_int (Hashtbl.length t.clients))
+    Metrics.set (m_clients ()) (float_of_int (Hashtbl.length t.clients))
 
 let accept_clients t =
   let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception
-        Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error (_, _, _) -> ()
+    match Unix.accept ~cloexec:true t.listen_fd with
+    | exception Unix.Unix_error _ -> ()
     | fd, _ ->
-      Unix.set_close_on_exec fd;
       t.next_client <- t.next_client + 1;
       let cl = { cl_id = t.next_client; cl_conn = Lineconn.create fd } in
       Hashtbl.replace t.clients cl.cl_id cl;
       Hashtbl.replace t.by_fd fd (`Client cl.cl_id);
-      Metrics.set (Lazy.force m_clients)
+      Metrics.set (m_clients ())
         (float_of_int (Hashtbl.length t.clients));
       loop ()
   in
@@ -224,10 +220,9 @@ let disconnect_backend t i =
 let connect_backend t i =
   disconnect_backend t i;
   let path = Supervisor.socket_path t.sup i in
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> false
   | fd -> (
-    Unix.set_close_on_exec fd;
     match Unix.connect fd (Unix.ADDR_UNIX path) with
     | exception Unix.Unix_error _ ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -290,7 +285,7 @@ let dispatch t (ps : psolve) =
   match candidates with
   | [] ->
     t.busy <- t.busy + 1;
-    Metrics.incr (Lazy.force m_busy);
+    Metrics.incr (m_busy ());
     reply_client t ps.ps_client (Protocol.Busy ps.ps_orig_id)
   | b :: _ ->
     let wire = mint_wire t in
@@ -315,13 +310,13 @@ let redispatch t wire (ps : psolve) =
   Hashtbl.remove t.pending wire;
   if List.length ps.ps_tried >= t.cfg.rc_max_attempts then begin
     t.errors <- t.errors + 1;
-    Metrics.incr (Lazy.force m_errors);
+    Metrics.incr (m_errors ());
     reply_client t ps.ps_client
       (Protocol.Error (ps.ps_orig_id, "backend lost during solve"))
   end
   else begin
     t.redispatched <- t.redispatched + 1;
-    Metrics.incr (Lazy.force m_redispatch);
+    Metrics.incr (m_redispatch ());
     (* The re-dispatched request keeps its original rid (ps_rq still
        carries the minted trace context), so the trace shows one request
        crossing two backends rather than two requests. *)
@@ -639,7 +634,7 @@ let parse_formula lang text =
     | exception Smtlib.Error msg -> Error ("smt-lib error: " ^ msg))
 
 let handle_solve t cl_id (rq : Protocol.solve_req) =
-  Metrics.incr (Lazy.force m_requests);
+  Metrics.incr (m_requests ());
   if t.draining then begin
     t.busy <- t.busy + 1;
     reply_client t cl_id (Protocol.Busy rq.Protocol.sq_id)
@@ -664,13 +659,13 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
     match parse_formula rq.Protocol.sq_lang rq.Protocol.sq_text with
     | Error msg ->
       t.errors <- t.errors + 1;
-      Metrics.incr (Lazy.force m_errors);
+      Metrics.incr (m_errors ());
       reply_client t cl_id (Protocol.Error (rq.Protocol.sq_id, msg))
     | Ok formula -> (
       let parsed_mono = Clock.mono_now () in
       let parse_ms = (parsed_mono -. recv_mono) *. 1000. in
       Obs.record ~rid ~dur_ms:parse_ms Obs.Span "hop.router_parse";
-      Metrics.observe ~rid (Lazy.force m_hop_parse) (parse_ms /. 1000.);
+      Metrics.observe ~rid (m_hop_parse ()) (parse_ms /. 1000.);
       let digest = Ast.digest formula in
       let key = digest ^ "|" ^ Protocol.method_to_wire rq.Protocol.sq_method in
       match Option.bind t.store (fun s -> Disk_cache.find s key) with
@@ -680,7 +675,7 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
            trace says so: served_by "cache" with the lookup as its own
            hop, so cached answers stay distinguishable from shard-solved
            ones in traces and exemplars. *)
-        Metrics.incr (Lazy.force m_disk_hits);
+        Metrics.incr (m_disk_hits ());
         t.completed <- t.completed + 1;
         let send_wall, send_mono = Clock.pair () in
         let ms = (send_mono -. recv_mono) *. 1000. in
@@ -835,13 +830,13 @@ let handle_backend_reply t b reply =
           | _ -> string_of_int b
         in
         let rid = ps.ps_rid in
-        Metrics.observe ~rid (Lazy.force m_hop_queue) (queue_ms /. 1000.);
-        Metrics.observe ~rid (Lazy.force m_hop_wire) (wire_ms /. 1000.);
-        Metrics.observe ~rid (Lazy.force m_hop_shard_queue)
+        Metrics.observe ~rid (m_hop_queue ()) (queue_ms /. 1000.);
+        Metrics.observe ~rid (m_hop_wire ()) (wire_ms /. 1000.);
+        Metrics.observe ~rid (m_hop_shard_queue ())
           (shard_queue_ms /. 1000.);
-        Metrics.observe ~rid (Lazy.force m_hop_solve)
+        Metrics.observe ~rid (m_hop_solve ())
           (shard_solve_ms /. 1000.);
-        Metrics.observe ~rid (Lazy.force m_hop_reply) (reply_ms /. 1000.);
+        Metrics.observe ~rid (m_hop_reply ()) (reply_ms /. 1000.);
         (if b >= 0 && b < Array.length t.hops then
            let a = t.hops.(b) in
            a.ha_count <- a.ha_count + 1;
@@ -887,7 +882,7 @@ let handle_backend_reply t b reply =
       | Protocol.Error (_, msg) ->
         Hashtbl.remove t.pending wire;
         t.errors <- t.errors + 1;
-        Metrics.incr (Lazy.force m_errors);
+        Metrics.incr (m_errors ());
         reply_client t ps.ps_client (Protocol.Error (ps.ps_orig_id, msg))
       | Protocol.Pong _ | Protocol.Stats _ | Protocol.Metrics _
       | Protocol.Dump _ | Protocol.Bye _ | Protocol.Warmed _ ->
@@ -910,54 +905,26 @@ let rebuild_interest t =
     t.by_fd;
   Poll.set t.poll t.listen_fd ~read:(not t.draining) ~write:false
 
-(* After backends are down and the bye is queued, give the outbound client
-   buffers a bounded window to flush. *)
-let flush_clients_bounded t seconds =
+(* Give outbound queues a bounded window to drain: the shutdown op to the
+   backends before the supervisor reaps them, then the bye to the clients. *)
+let flush_bounded conns seconds =
   let deadline = Unix.gettimeofday () +. seconds in
-  let rec loop () =
-    let pending_out =
-      Hashtbl.fold
-        (fun _ cl acc -> acc || Lineconn.wants_write cl.cl_conn)
-        t.clients false
-    in
-    if pending_out && Unix.gettimeofday () < deadline then begin
-      Hashtbl.iter
-        (fun _ cl -> ignore (Lineconn.on_writable cl.cl_conn))
-        t.clients;
-      Unix.sleepf 0.01;
-      loop ()
-    end
-  in
-  loop ()
+  let flush () = List.iter (fun c -> ignore (Lineconn.on_writable c)) conns in
+  flush ();
+  while
+    List.exists Lineconn.wants_write conns && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.01;
+    flush ()
+  done
 
 let shutdown_backends t =
-  (* Propagate the shutdown op over every live connection and flush it out
-     before the supervisor starts reaping — the voluntary-exit path. *)
-  Array.iteri
-    (fun i conn ->
-      match conn with
-      | Some c ->
-        Lineconn.enqueue c (Protocol.request_to_line (Protocol.Shutdown "fleet"));
-        ignore (Lineconn.on_writable c);
-        ignore i
-      | None -> ())
-    t.bconns;
-  let deadline = Unix.gettimeofday () +. 0.5 in
-  let rec flush_out () =
-    let busy =
-      Array.exists
-        (function Some c -> Lineconn.wants_write c | None -> false)
-        t.bconns
-    in
-    if busy && Unix.gettimeofday () < deadline then begin
-      Array.iter
-        (function Some c -> ignore (Lineconn.on_writable c) | None -> ())
-        t.bconns;
-      Unix.sleepf 0.01;
-      flush_out ()
-    end
-  in
-  flush_out ();
+  let live = List.filter_map Fun.id (Array.to_list t.bconns) in
+  List.iter
+    (fun c ->
+      Lineconn.enqueue c (Protocol.request_to_line (Protocol.Shutdown "fleet")))
+    live;
+  flush_bounded live 0.5;
   Supervisor.stop t.sup;
   Array.iteri (fun i _ -> disconnect_backend t i) t.bconns
 
@@ -967,7 +934,9 @@ let finish_shutdown t =
   (match t.drain_requester with
   | Some (cl_id, id) -> reply_client t cl_id (Protocol.Bye id)
   | None -> ());
-  flush_clients_bounded t 2.;
+  flush_bounded
+    (Hashtbl.fold (fun _ cl acc -> cl.cl_conn :: acc) t.clients [])
+    2.;
   Hashtbl.iter (fun _ cl -> Lineconn.close cl.cl_conn) t.clients;
   Hashtbl.reset t.clients;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
@@ -998,7 +967,15 @@ let handle_ready t (r : Poll.ready) =
           | `Closed -> drop_client t cl_id
           | `Nothing -> ()
           | `Lines lines ->
-            List.iter (fun l -> handle_client_line t cl_id l) lines))
+            List.iter (fun l -> handle_client_line t cl_id l) lines
+          | `Overlong lines ->
+            List.iter (fun l -> handle_client_line t cl_id l) lines;
+            reply_client t cl_id
+              (Protocol.Error
+                 ("", Printf.sprintf "bad request: line longer than %d bytes"
+                        Lineconn.max_line));
+            ignore (Lineconn.on_writable conn);
+            drop_client t cl_id))
     | Some (`Backend i) -> (
       match t.bconns.(i) with
       | None -> ()
@@ -1009,16 +986,21 @@ let handle_ready t (r : Poll.ready) =
            | `Ok -> ());
         if t.bconns.(i) <> None then
           if r.Poll.r_readable then (
-            match Lineconn.on_readable conn with
-            | `Closed -> backend_lost t i
-            | `Nothing -> ()
-            | `Lines lines ->
+            let replies lines =
               List.iter
                 (fun l ->
                   match Protocol.reply_of_line l with
                   | Ok reply -> handle_backend_reply t i reply
                   | Error _ -> ())
-                lines))
+                lines
+            in
+            match Lineconn.on_readable conn with
+            | `Closed -> backend_lost t i
+            | `Nothing -> ()
+            | `Lines lines -> replies lines
+            | `Overlong lines ->
+              replies lines;
+              backend_lost t i))
 
 let request_stop () = Atomic.set stop_flag true
 
@@ -1046,8 +1028,7 @@ let run cfg sup =
       (Option.get cfg.rc_cache_path) st.Disk_cache.s_loaded
   | None -> ());
   (try Sys.remove cfg.rc_socket with Sys_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec listen_fd;
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.rc_socket);
   Unix.listen listen_fd 128;
   Unix.set_nonblock listen_fd;

@@ -22,6 +22,7 @@
    check keeps escalating instead of hot-looping. *)
 
 module Obs = Sepsat_obs.Obs
+module Protocol = Sepsat_serve.Protocol
 
 type config = {
   exe : string;  (* the sufdec binary; children are [exe :: args i sock] *)
@@ -103,52 +104,26 @@ let spawn t bk =
     bk.bk_socket
 
 (* One connect+ping round trip with 1 s socket timeouts: cheap enough to
-   run once per tick, bounded enough never to wedge the loop. *)
+   run once per tick, bounded enough never to wedge the loop. A pong proves
+   the shard's loop is serving. *)
 let health_ping path =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> false
-  | fd -> (
-    Unix.set_close_on_exec fd;
-    let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | exception Unix.Unix_error _ ->
-      finally ();
-      false
-    | () -> (
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-        let line = "{\"op\":\"ping\",\"id\":\"hc\"}\n" in
-        let _ =
-          Unix.write_substring fd line 0 (String.length line)
-        in
-        let buf = Bytes.create 256 in
-        let reply = Buffer.create 64 in
-        let rec read_line () =
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> false
-          | n ->
-            Buffer.add_subbytes reply buf 0 n;
-            if String.contains (Buffer.contents reply) '\n' then true
-            else read_line ()
-        in
-        let got = read_line () in
-        finally ();
-        got
-        &&
-        (* Any one-line answer to a ping proves the accept loop and the
-           protocol thread are alive; pong is what a healthy server says. *)
-        let s = Buffer.contents reply in
-        let has_pong =
-          let pat = "pong" in
-          let n = String.length s and m = String.length pat in
-          let rec find i = i + m <= n && (String.sub s i m = pat || find (i + 1)) in
-          find 0
-        in
-        has_pong
-      with Unix.Unix_error _ | Sys_error _ ->
-        finally ();
-        false))
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        try
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let ping = Protocol.request_to_line (Protocol.Ping "hc") ^ "\n" in
+          ignore (Unix.write_substring fd ping 0 (String.length ping));
+          let reply = input_line (Unix.in_channel_of_descr fd) in
+          match Protocol.reply_of_line reply with
+          | Ok (Protocol.Pong _) -> true
+          | _ -> false
+        with Unix.Unix_error _ | Sys_error _ | End_of_file -> false)
 
 let start cfg =
   if cfg.n_backends < 1 then invalid_arg "Supervisor.start: n_backends < 1";

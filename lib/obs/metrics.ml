@@ -49,6 +49,16 @@ let register name make match_ =
         Hashtbl.add table name v;
         (match match_ v with Some x -> x | None -> assert false))
 
+let handle register name =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some h -> h
+    | None ->
+      let h = register name in
+      Atomic.set cell (Some h);
+      h
+
 let counter name =
   register name
     (fun () -> C (Atomic.make 0))

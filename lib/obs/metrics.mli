@@ -2,8 +2,8 @@
     the whole pipeline.
 
     Registration ([{!counter}], [{!gauge}], [{!histogram}]) is idempotent by
-    name and takes a global mutex; keep the handle (or register under
-    [lazy]) rather than re-looking up on a hot path. Updates are lock-free
+    name and takes a global mutex; keep the handle (or register on first
+    use through {!handle}) rather than re-looking up on a hot path. Updates are lock-free
     (atomics) and domain-safe, and gated on {!Obs.enabled}, the store's one
     switch: a disabled-mode update is one atomic load and a branch.
     Long-lived servers turn the store on at startup, so their operational
@@ -22,6 +22,11 @@ type exemplar = { ex_rid : string; ex_value : float; ex_ts : float }
 (** A concrete traceable observation: the request id, value and wall-clock
     time of the max-valued rid-carrying observation a histogram bucket has
     seen since the last {!reset}. *)
+
+val handle : (string -> 'a) -> string -> unit -> 'a
+(** [handle counter name] registers on first use, from any domain. A
+    [lazy] would raise [Lazy.Undefined] when two domains force it at once;
+    racing first uses here both register, which is idempotent. *)
 
 val counter : string -> counter
 (** Find-or-create. @raise Invalid_argument if [name] is already registered

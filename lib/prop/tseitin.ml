@@ -78,11 +78,11 @@ let memo_add t id l =
 let has_lit t id = memo_find t id <> absent
 
 (* One registry-wide counter across every converter instance. *)
-let m_clauses = lazy (Sepsat_obs.Metrics.counter "cnf.clauses")
+let m_clauses = Sepsat_obs.Metrics.handle Sepsat_obs.Metrics.counter "cnf.clauses"
 
 let add_clause t (c : Lit.t array) =
   t.n_clauses <- t.n_clauses + 1;
-  Sepsat_obs.Metrics.incr (Lazy.force m_clauses);
+  Sepsat_obs.Metrics.incr (m_clauses ());
   Solver.add_clause_array t.solver c
 
 let find_var t i =

@@ -367,9 +367,9 @@ let rup e c =
   rollback e mark;
   ok
 
-let m_lemmas = lazy (Metrics.counter "drup.lemmas")
+let m_lemmas = Metrics.handle Metrics.counter "drup.lemmas"
 
-let m_checked = lazy (Metrics.counter "drup.core_checked")
+let m_checked = Metrics.handle Metrics.counter "drup.core_checked"
 
 let not_rup i c =
   Bogus
@@ -394,7 +394,7 @@ let check step_list =
         nlits := !nlits + List.length c
       | Proof.Deleted c -> width := max !width (List.length c))
     steps;
-  Metrics.add (Lazy.force m_lemmas) !lemmas;
+  Metrics.add (m_lemmas ()) !lemmas;
   let e =
     create ~nvars:(!max_var + 1) ~nclauses:n ~nlits:!nlits ~width:!width
   in
@@ -434,7 +434,7 @@ let check step_list =
         detach e c;
         if Bytes.get e.core c = '\000' then backward (i - 1)
         else begin
-          Metrics.incr (Lazy.force m_checked);
+          Metrics.incr (m_checked ());
           if rup e c then backward (i - 1) else not_rup i lits
         end
     end

@@ -32,19 +32,19 @@ let bve_clause_limit = 24
 let bce_occ_limit = 60
 
 (* Metric handles are shared across solver instances. *)
-let m_rounds = lazy (Metrics.counter "sat.simplify.rounds")
+let m_rounds = Metrics.handle Metrics.counter "sat.simplify.rounds"
 
-let m_subsumed = lazy (Metrics.counter "sat.simplify.subsumed")
+let m_subsumed = Metrics.handle Metrics.counter "sat.simplify.subsumed"
 
-let m_strengthened = lazy (Metrics.counter "sat.simplify.strengthened")
+let m_strengthened = Metrics.handle Metrics.counter "sat.simplify.strengthened"
 
-let m_elim_vars = lazy (Metrics.counter "sat.simplify.eliminated_vars")
+let m_elim_vars = Metrics.handle Metrics.counter "sat.simplify.eliminated_vars"
 
-let m_blocked = lazy (Metrics.counter "sat.simplify.blocked")
+let m_blocked = Metrics.handle Metrics.counter "sat.simplify.blocked"
 
-let m_restored = lazy (Metrics.counter "sat.simplify.restored")
+let m_restored = Metrics.handle Metrics.counter "sat.simplify.restored"
 
-let m_seconds = lazy (Metrics.histogram "sat.simplify_seconds")
+let m_seconds = Metrics.handle Metrics.histogram "sat.simplify_seconds"
 
 exception Closed
 (* The database became unsat (or the deadline fired) mid-round. *)
@@ -453,14 +453,14 @@ let purge_learnts (s : Db.t) =
 
 let publish (s : Db.t) before_subsumed before_str before_elim before_blocked
     before_restored rounds elapsed =
-  Metrics.add (Lazy.force m_rounds) rounds;
-  Metrics.add (Lazy.force m_subsumed) (s.Db.n_subsumed - before_subsumed);
-  Metrics.add (Lazy.force m_strengthened)
+  Metrics.add (m_rounds ()) rounds;
+  Metrics.add (m_subsumed ()) (s.Db.n_subsumed - before_subsumed);
+  Metrics.add (m_strengthened ())
     (s.Db.n_strengthened - before_str);
-  Metrics.add (Lazy.force m_elim_vars) (s.Db.n_elim_vars - before_elim);
-  Metrics.add (Lazy.force m_blocked) (s.Db.n_blocked - before_blocked);
-  Metrics.add (Lazy.force m_restored) (s.Db.n_restored - before_restored);
-  Metrics.observe (Lazy.force m_seconds) elapsed
+  Metrics.add (m_elim_vars ()) (s.Db.n_elim_vars - before_elim);
+  Metrics.add (m_blocked ()) (s.Db.n_blocked - before_blocked);
+  Metrics.add (m_restored ()) (s.Db.n_restored - before_restored);
+  Metrics.observe (m_seconds ()) elapsed
 
 (* Run up to [max_rounds] simplification rounds at decision level 0, then
    restore the two-watch invariant and propagate to quiescence. Safe to call

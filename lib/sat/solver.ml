@@ -376,26 +376,26 @@ let stats (s : t) =
 
 (* Metric handles are shared across every solver instance; [lazy] defers
    registration to first (enabled) use. *)
-let m_solves = lazy (Metrics.counter "sat.solves")
+let m_solves = Metrics.handle Metrics.counter "sat.solves"
 
-let m_conflicts = lazy (Metrics.counter "sat.conflicts")
+let m_conflicts = Metrics.handle Metrics.counter "sat.conflicts"
 
-let m_decisions = lazy (Metrics.counter "sat.decisions")
+let m_decisions = Metrics.handle Metrics.counter "sat.decisions"
 
-let m_propagations = lazy (Metrics.counter "sat.propagations")
+let m_propagations = Metrics.handle Metrics.counter "sat.propagations"
 
-let m_restarts = lazy (Metrics.counter "sat.restarts")
+let m_restarts = Metrics.handle Metrics.counter "sat.restarts"
 
-let m_solve_seconds = lazy (Metrics.histogram "sat.solve_seconds")
+let m_solve_seconds = Metrics.handle Metrics.histogram "sat.solve_seconds"
 
 let publish_deltas before after elapsed =
-  Metrics.incr (Lazy.force m_solves);
-  Metrics.add (Lazy.force m_conflicts) (after.conflicts - before.conflicts);
-  Metrics.add (Lazy.force m_decisions) (after.decisions - before.decisions);
-  Metrics.add (Lazy.force m_propagations)
+  Metrics.incr (m_solves ());
+  Metrics.add (m_conflicts ()) (after.conflicts - before.conflicts);
+  Metrics.add (m_decisions ()) (after.decisions - before.decisions);
+  Metrics.add (m_propagations ())
     (after.propagations - before.propagations);
-  Metrics.add (Lazy.force m_restarts) (after.restarts - before.restarts);
-  Metrics.observe (Lazy.force m_solve_seconds) elapsed
+  Metrics.add (m_restarts ()) (after.restarts - before.restarts);
+  Metrics.observe (m_solve_seconds ()) elapsed
 
 (* Inprocessing cadence: first pass after [simp_base] conflicts, then backing
    off linearly with the number of rounds already run. *)

@@ -111,14 +111,14 @@ type t = {
 (* Metric handles are registered lazily so a process that never serves pays
    nothing. [create] turns the Obs store on: a server's operational
    counters must move in default runs, not only under --trace. *)
-let m_requests = lazy (Metrics.counter "serve.requests")
-let m_shed = lazy (Metrics.counter "serve.shed")
-let m_errors = lazy (Metrics.counter "serve.errors")
-let m_hits = lazy (Metrics.counter "serve.cache.hits")
-let m_misses = lazy (Metrics.counter "serve.cache.misses")
-let m_joins = lazy (Metrics.counter "serve.cache.joins")
-let m_queue_depth = lazy (Metrics.gauge "serve.queue_depth")
-let m_request_s = lazy (Metrics.histogram "serve.request_s")
+let m_requests = Metrics.handle Metrics.counter "serve.requests"
+let m_shed = Metrics.handle Metrics.counter "serve.shed"
+let m_errors = Metrics.handle Metrics.counter "serve.errors"
+let m_hits = Metrics.handle Metrics.counter "serve.cache.hits"
+let m_misses = Metrics.handle Metrics.counter "serve.cache.misses"
+let m_joins = Metrics.handle Metrics.counter "serve.cache.joins"
+let m_queue_depth = Metrics.handle Metrics.gauge "serve.queue_depth"
+let m_request_s = Metrics.handle Metrics.histogram "serve.request_s"
 
 let witness_digest = function
   | Verdict.Invalid a ->
@@ -165,7 +165,7 @@ let process t (jb : job) : reply =
   Log.with_fields [ ("rid", Log.S jb.jb_rid); ("id", Log.S jb.jb_id) ]
   @@ fun () ->
   Obs.span ~cat:"serve" "serve.request" (fun () ->
-      Metrics.incr (Lazy.force m_requests);
+      Metrics.incr (m_requests ());
       Log.event "serve.request"
         [
           ("lang", Log.S (Protocol.lang_to_string jb.jb_lang));
@@ -177,7 +177,7 @@ let process t (jb : job) : reply =
       match Obs.span ~cat:"serve" "serve.parse" (fun () -> parse_job jb) with
       | Error msg ->
         Atomic.incr t.errors;
-        Metrics.incr (Lazy.force m_errors);
+        Metrics.incr (m_errors ());
         let time_ms = (Deadline.wall_now () -. t0) *. 1000. in
         Window.add ~rid:jb.jb_rid t.lat time_ms;
         Log.event "serve.error"
@@ -240,17 +240,17 @@ let process t (jb : job) : reply =
         let o_origin =
           match origin with
           | Cache.Hit ->
-            Metrics.incr (Lazy.force m_hits);
+            Metrics.incr (m_hits ());
             Protocol.Cache_hit
           | Cache.Computed ->
-            Metrics.incr (Lazy.force m_misses);
+            Metrics.incr (m_misses ());
             Protocol.Solved
           | Cache.Joined ->
-            Metrics.incr (Lazy.force m_joins);
+            Metrics.incr (m_joins ());
             Protocol.Joined
         in
         let time_ms = (Deadline.wall_now () -. t0) *. 1000. in
-        Metrics.observe ~rid:jb.jb_rid (Lazy.force m_request_s)
+        Metrics.observe ~rid:jb.jb_rid (m_request_s ())
           (time_ms /. 1000.);
         Window.add ~rid:jb.jb_rid t.lat time_ms;
         Log.event "serve.reply"
@@ -282,7 +282,7 @@ let worker t i () =
     match Bqueue.pop t.queue with
     | None -> ()
     | Some (jb, cb) ->
-      Metrics.set (Lazy.force m_queue_depth) (float_of_int (Bqueue.length t.queue));
+      Metrics.set (m_queue_depth ()) (float_of_int (Bqueue.length t.queue));
       let reply =
         try process t jb
         with e -> Result.Error ("internal error: " ^ Printexc.to_string e)
@@ -370,12 +370,12 @@ let lanes t =
 let submit t jb cb =
   if Bqueue.try_push t.queue (jb, cb) then begin
     Atomic.incr t.submitted;
-    Metrics.set (Lazy.force m_queue_depth) (float_of_int (Bqueue.length t.queue));
+    Metrics.set (m_queue_depth ()) (float_of_int (Bqueue.length t.queue));
     true
   end
   else begin
     Atomic.incr t.shed;
-    Metrics.incr (Lazy.force m_shed);
+    Metrics.incr (m_shed ());
     Obs.instant ~cat:"serve" "serve.shed";
     (* Shed jobs never reach [process], so the correlation fields must be
        explicit here. *)
@@ -400,7 +400,7 @@ let solve ?(block = false) t jb =
       if ok then Atomic.incr t.submitted
       else begin
         Atomic.incr t.shed;
-        Metrics.incr (Lazy.force m_shed);
+        Metrics.incr (m_shed ());
         Log.event "serve.shed"
           [ ("rid", Log.S jb.jb_rid); ("id", Log.S jb.jb_id) ]
       end;
@@ -513,7 +513,7 @@ let stats_json t =
                    ("value_s", Json.Num e.Metrics.ex_value);
                    ("ts", Json.Num e.Metrics.ex_ts);
                  ])
-             (Metrics.exemplars (Lazy.force m_request_s))) );
+             (Metrics.exemplars (m_request_s ()))) );
       ( "lanes",
         Json.Arr
           (List.map

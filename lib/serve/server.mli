@@ -1,37 +1,34 @@
-(** Protocol front ends over an {!Engine}: a stdio loop and a Unix-domain
-    socket listener.
+(** The shard's JSON-lines front end over an {!Engine}: one thread runs
+    one {!Poll} loop over {!Lineconn}s, for a Unix-domain socket or for
+    stdin/stdout. Solves run on the engine's worker domains and come back
+    to the loop through a self-pipe, so one connection can pipeline:
+    replies carry the request's [id] and may arrive out of order. A full
+    engine queue answers [busy] at once; a peer that does not read its
+    replies is not read either. A malformed line, or a partial line past
+    {!Lineconn.max_line}, gets an [error] with an empty id (the latter
+    also ends its connection). SIGPIPE is ignored: a peer that leaves
+    mid-reply loses only its own connection.
 
-    Both speak the JSON-lines protocol of {!Protocol}. Requests are
-    submitted asynchronously, so one connection can pipeline: replies carry
-    the request's [id] and may arrive out of order. Backpressure is the
-    engine's: when its bounded queue is full the server answers
-    [{"status":"busy"}] immediately instead of buffering — clients retry or
-    slow down, the server's memory does not grow with offered load. A
-    [shutdown] request stops the loop (and, for the socket listener, the
-    accept loop); the caller still owns the engine and decides when to
-    {!Engine.shutdown} it. *)
+    With [metrics_path] a second socket answers Prometheus scrapes
+    ([GET /metrics] or [/], HTTP/1.0, one response per connection, else
+    404), e.g. [curl --unix-socket PATH http://localhost/metrics].
 
-val serve_channels :
-  Engine.t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
-(** Serve one JSON-lines stream until end-of-input or a [shutdown] request.
-    Waits for every in-flight reply before returning, so the stream is
-    complete when this returns. Blank lines are ignored; malformed lines
-    get an [error] reply with an empty id. *)
+    A [shutdown] request is answered [bye] and closes the listeners
+    (removing their socket files); the requester's connection reads no
+    more, and every connection is served until its EOF. The entry points
+    return once no connection is left and every accepted request has been
+    answered; the caller still owns the engine. *)
 
 val serve_unix : ?metrics_path:string -> Engine.t -> path:string -> unit
-(** Listen on a Unix-domain socket, one system thread per connection (the
-    heavy lifting happens on the engine's worker domains; connection
-    threads only shuttle lines). An existing socket file at [path] is
-    replaced. Returns after a [shutdown] request once every accepted
-    connection has drained, and removes the socket file. SIGPIPE is
-    ignored; a client that disconnects mid-reply only loses its own
-    connection. With [metrics_path] a second socket serves plaintext
-    [GET /metrics] (see {!serve_metrics}) until the same shutdown. *)
+(** Listen at [path] (a stale socket file is replaced) until a [shutdown]. *)
 
-val serve_metrics : path:string -> stop:bool Atomic.t -> Thread.t
-(** Serve Prometheus scrapes ([GET /metrics], HTTP/1.0, one response per
-    connection) on a Unix-domain socket, e.g. for
-    [curl --unix-socket PATH http://localhost/metrics]. The socket is bound
-    before this returns, so a scraper may connect immediately. The returned
-    thread polls [stop] (4 Hz) and on stop closes the listener and removes
-    the socket file; join it after raising the flag. *)
+val serve_stdio :
+  ?metrics_path:string ->
+  ?input:Unix.file_descr ->
+  ?output:Unix.file_descr ->
+  Engine.t ->
+  [ `Eof | `Shutdown ]
+(** Serve the stream read from [input] (default stdin) and written to
+    [output] (default stdout) until its end or a [shutdown], and say which.
+    O_NONBLOCK is cleared on both fds before returning, so a terminal is
+    not left non-blocking. *)

@@ -1,13 +1,10 @@
 (* Tests for the fleet subsystem: consistent-hash ring (distribution
-   bounds, minimal remapping, affinity), poll wrapper, buffered line
-   connections, the persistent disk cache (restart survival, torn-tail
-   tolerance), the warm protocol op, client retry, and an end-to-end
-   fleet — real router, real supervised backend processes — including a
-   SIGKILL mid-load and a warm restart. *)
+   bounds, minimal remapping, affinity), the persistent disk cache
+   (restart survival, torn-tail tolerance), the warm protocol op, client
+   retry, and an end-to-end fleet — real router, real supervised backend
+   processes — including a SIGKILL mid-load and a warm restart. *)
 
 module Ring = Sepsat_fleet.Ring
-module Poll = Sepsat_fleet.Poll
-module Lineconn = Sepsat_fleet.Lineconn
 module Disk_cache = Sepsat_fleet.Disk_cache
 module Fleet = Sepsat_fleet.Fleet
 module Json = Sepsat_util.Json
@@ -112,91 +109,6 @@ let prop_ring_affinity =
          the property that gives backend caches their affinity. *)
       Ring.lookup a key = Ring.lookup b key
       && List.sort compare (Ring.lookup_order a key) = [ 0; 1; 2; 3 ])
-
-(* ------------------------------------------------------------------ *)
-(* Poll                                                                *)
-
-let test_poll_readiness () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let p = Poll.create () in
-  Poll.set p a ~read:true ~write:false;
-  Alcotest.(check int) "one registration" 1 (Poll.registered p);
-  Alcotest.(check int) "quiet socket: timeout" 0
-    (List.length (Poll.wait p ~timeout_s:0.05));
-  ignore (Unix.write_substring b "x" 0 1);
-  (match Poll.wait p ~timeout_s:1.0 with
-  | [ r ] ->
-    Alcotest.(check bool) "right fd" true (r.Poll.r_fd = a);
-    Alcotest.(check bool) "readable" true r.Poll.r_readable
-  | l -> Alcotest.failf "expected one ready fd, got %d" (List.length l));
-  Poll.set p a ~read:false ~write:true;
-  (match Poll.wait p ~timeout_s:1.0 with
-  | [ r ] -> Alcotest.(check bool) "writable" true r.Poll.r_writable
-  | l -> Alcotest.failf "expected one writable fd, got %d" (List.length l));
-  Poll.remove p a;
-  Alcotest.(check int) "deregistered" 0 (Poll.registered p);
-  Unix.close a;
-  Unix.close b
-
-(* ------------------------------------------------------------------ *)
-(* Lineconn                                                            *)
-
-let wr fd s = ignore (Unix.write_substring fd s 0 (String.length s))
-
-let rd fd =
-  let b = Bytes.create 4096 in
-  match Unix.read fd b 0 4096 with
-  | 0 -> ""
-  | n -> Bytes.sub_string b 0 n
-
-let test_lineconn_read_banking () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let c = Lineconn.create a in
-  wr b "hel";
-  (match Lineconn.on_readable c with
-  | `Nothing -> ()
-  | _ -> Alcotest.fail "partial line must bank, not deliver");
-  wr b "lo\nwo";
-  (match Lineconn.on_readable c with
-  | `Lines [ "hello" ] -> ()
-  | _ -> Alcotest.fail "completed line delivered, tail banked");
-  wr b "rld\n\ntail\n";
-  (match Lineconn.on_readable c with
-  | `Lines [ "world"; "tail" ] -> ()  (* blank line filtered *)
-  | _ -> Alcotest.fail "two lines, blank filtered");
-  Unix.close b;
-  (match Lineconn.on_readable c with
-  | `Closed -> ()
-  | _ -> Alcotest.fail "EOF with nothing pending is Closed");
-  Lineconn.close c
-
-let test_lineconn_eof_with_pending () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let c = Lineconn.create a in
-  wr b "last\n";
-  Unix.close b;
-  (match Lineconn.on_readable c with
-  | `Lines [ "last" ] -> ()
-  | _ -> Alcotest.fail "final batch delivered before Closed");
-  (match Lineconn.on_readable c with
-  | `Closed -> ()
-  | _ -> Alcotest.fail "Closed on the next call");
-  Lineconn.close c
-
-let test_lineconn_write_queue () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let c = Lineconn.create a in
-  Alcotest.(check bool) "idle" false (Lineconn.wants_write c);
-  Lineconn.enqueue c "ping";
-  Lineconn.enqueue c "pong";
-  Alcotest.(check bool) "queued" true (Lineconn.wants_write c);
-  (match Lineconn.on_writable c with
-  | `Ok -> ()
-  | `Closed -> Alcotest.fail "healthy socket");
-  Alcotest.(check bool) "drained" false (Lineconn.wants_write c);
-  Alcotest.(check string) "newline-framed on the wire" "ping\npong\n" (rd b);
-  Lineconn.close c;
-  Unix.close b
 
 (* ------------------------------------------------------------------ *)
 (* Disk cache                                                          *)
@@ -543,6 +455,21 @@ let test_fleet_end_to_end () =
   | r ->
     Alcotest.failf "expected a cached verdict, got %s"
       (Protocol.reply_to_line r));
+  (* A partial line past the shared [Lineconn] bound costs that client its
+     connection, with an error, and nothing else. *)
+  (let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+   Unix.connect fd (Unix.ADDR_UNIX socket);
+   let big = String.make (Sepsat_serve.Lineconn.max_line + 1) 'x' in
+   ignore (Unix.write_substring fd big 0 (String.length big));
+   let ic = Unix.in_channel_of_descr fd in
+   (match Protocol.reply_of_line (input_line ic) with
+   | Ok (Protocol.Error ("", _)) -> ()
+   | _ -> Alcotest.fail "router did not refuse the overlong line");
+   Alcotest.(check bool) "router closed that connection" true
+     (match input_line ic with _ -> false | exception End_of_file -> true);
+   close_in ic);
+  Alcotest.(check bool) "router still answers" true (Session.ping !session);
   (* The fleet dump nests one flight document per process: the router's
      own ring plus each backend's, the raw material of [sufdec trace]. *)
   (match Session.dump !session with
@@ -702,15 +629,6 @@ let () =
           Alcotest.test_case "survivors keep keys on leave" `Quick
             test_ring_remap_on_leave;
           QCheck_alcotest.to_alcotest prop_ring_affinity;
-        ] );
-      ( "poll",
-        [ Alcotest.test_case "readiness and interest" `Quick test_poll_readiness ] );
-      ( "lineconn",
-        [
-          Alcotest.test_case "read banking" `Quick test_lineconn_read_banking;
-          Alcotest.test_case "eof with pending batch" `Quick
-            test_lineconn_eof_with_pending;
-          Alcotest.test_case "write queue" `Quick test_lineconn_write_queue;
         ] );
       ( "disk cache",
         [

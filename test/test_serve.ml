@@ -1,7 +1,8 @@
 (* Tests for the serving subsystem: JSON codec, wire protocol, bounded
    queue, sharded LRU cache with single-flight deduplication, the engine
    (caching correctness against a fresh [Decide.decide], shedding,
-   deadlines) and the socket/channel protocol front ends. *)
+   deadlines), the poll registry and line connections, and the poll-loop
+   server over a socket and over stdio. *)
 
 module Json = Sepsat_util.Json
 module Protocol = Sepsat_serve.Protocol
@@ -10,6 +11,8 @@ module Cache = Sepsat_serve.Cache
 module Engine = Sepsat_serve.Engine
 module Server = Sepsat_serve.Server
 module Session = Sepsat_serve.Session
+module Poll = Sepsat_serve.Poll
+module Lineconn = Sepsat_serve.Lineconn
 module Ast = Sepsat_suf.Ast
 module Parse = Sepsat_suf.Parse
 module Decide = Sepsat.Decide
@@ -651,61 +654,251 @@ let test_engine_parse_error () =
   Engine.shutdown engine
 
 (* ------------------------------------------------------------------ *)
+(* Poll                                                                *)
+
+let test_poll_readiness () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let p = Poll.create () in
+  Poll.set p a ~read:true ~write:false;
+  Alcotest.(check int) "one registration" 1 (Poll.registered p);
+  Alcotest.(check int) "quiet socket: timeout" 0
+    (List.length (Poll.wait p ~timeout_s:0.05));
+  ignore (Unix.write_substring b "x" 0 1);
+  (match Poll.wait p ~timeout_s:1.0 with
+  | [ r ] ->
+    Alcotest.(check bool) "right fd" true (r.Poll.r_fd = a);
+    Alcotest.(check bool) "readable" true r.Poll.r_readable
+  | l -> Alcotest.failf "expected one ready fd, got %d" (List.length l));
+  Poll.set p a ~read:false ~write:true;
+  (match Poll.wait p ~timeout_s:1.0 with
+  | [ r ] -> Alcotest.(check bool) "writable" true r.Poll.r_writable
+  | l -> Alcotest.failf "expected one writable fd, got %d" (List.length l));
+  Poll.remove p a;
+  Alcotest.(check int) "deregistered" 0 (Poll.registered p);
+  Unix.close a;
+  Unix.close b
+
+(* ------------------------------------------------------------------ *)
+(* Lineconn                                                            *)
+
+let wr fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let rd fd =
+  let b = Bytes.create 4096 in
+  match Unix.read fd b 0 4096 with
+  | 0 -> ""
+  | n -> Bytes.sub_string b 0 n
+
+let test_lineconn_read_banking () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  wr b "hel";
+  (match Lineconn.on_readable c with
+  | `Nothing -> ()
+  | _ -> Alcotest.fail "partial line must bank, not deliver");
+  wr b "lo\nwo";
+  (match Lineconn.on_readable c with
+  | `Lines [ "hello" ] -> ()
+  | _ -> Alcotest.fail "completed line delivered, tail banked");
+  wr b "rld\n\ntail\n";
+  (match Lineconn.on_readable c with
+  | `Lines [ "world"; "tail" ] -> ()  (* blank line filtered *)
+  | _ -> Alcotest.fail "two lines, blank filtered");
+  Unix.close b;
+  (match Lineconn.on_readable c with
+  | `Closed -> ()
+  | _ -> Alcotest.fail "EOF with nothing pending is Closed");
+  Lineconn.close c
+
+let test_lineconn_eof_with_pending () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  wr b "last\n";
+  Unix.close b;
+  (match Lineconn.on_readable c with
+  | `Lines [ "last" ] -> ()
+  | _ -> Alcotest.fail "final batch delivered before Closed");
+  (match Lineconn.on_readable c with
+  | `Closed -> ()
+  | _ -> Alcotest.fail "Closed on the next call");
+  Lineconn.close c
+
+let test_lineconn_write_queue () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  Alcotest.(check bool) "idle" false (Lineconn.wants_write c);
+  Lineconn.enqueue c "ping";
+  Lineconn.enqueue c "pong";
+  Alcotest.(check bool) "queued" true (Lineconn.wants_write c);
+  (match Lineconn.on_writable c with
+  | `Ok -> ()
+  | `Closed -> Alcotest.fail "healthy socket");
+  Alcotest.(check bool) "drained" false (Lineconn.wants_write c);
+  Alcotest.(check string) "newline-framed on the wire" "ping\npong\n" (rd b);
+  Lineconn.close c;
+  Unix.close b
+
+let test_lineconn_large_line_in_small_writes () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  let line = String.init (4 * 1024 * 1024) (fun i -> Char.chr (97 + (i mod 26))) in
+  let piece = 1024 in
+  let delivered = ref [] in
+  let read () =
+    match Lineconn.on_readable c with
+    | `Lines ls -> delivered := !delivered @ ls
+    | `Nothing -> ()
+    | `Closed | `Overlong _ -> Alcotest.fail "a 4 MiB line is in bounds"
+  in
+  let rec feed off =
+    if off < String.length line then begin
+      let n = min piece (String.length line - off) in
+      wr b (String.sub line off n);
+      read ();
+      feed (off + n)
+    end
+  in
+  feed 0;
+  Alcotest.(check int) "nothing before the newline" 0 (List.length !delivered);
+  wr b "\n";
+  read ();
+  Unix.close b;
+  (match Lineconn.on_readable c with
+  | `Closed -> ()
+  | _ -> Alcotest.fail "EOF after the line");
+  (match !delivered with
+  | [ l ] -> Alcotest.(check bool) "delivered once, intact" true (l = line)
+  | ls -> Alcotest.failf "expected one line, got %d" (List.length ls));
+  Lineconn.close c
+
+(* The newline search reads eight bytes at a time: lines of every length
+   from 1 to 40 put a newline at every offset of a word. *)
+let test_lineconn_every_offset () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  let lines = List.init 40 (fun k -> String.make (k + 1) (Char.chr (65 + k))) in
+  wr b (String.concat "\n" lines ^ "\n");
+  (match Lineconn.on_readable c with
+  | `Lines got -> Alcotest.(check (list string)) "every line" lines got
+  | _ -> Alcotest.fail "expected lines");
+  Lineconn.close c;
+  Unix.close b
+
+let test_lineconn_overlong () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  wr b "first\n";
+  let chunk = String.make 65536 'x' in
+  let rec feed sent =
+    if sent > Lineconn.max_line + 65536 then Alcotest.fail "no bound";
+    wr b chunk;
+    match Lineconn.on_readable c with
+    | `Overlong lines -> (sent + 65536, lines)
+    | `Lines [ "first" ] | `Nothing -> feed (sent + 65536)
+    | _ -> Alcotest.fail "unexpected read result"
+  in
+  let sent, lines = feed 0 in
+  Alcotest.(check bool) "refused just past the bound" true
+    (sent > Lineconn.max_line && sent <= Lineconn.max_line + 65536);
+  Alcotest.(check bool) "lines before it still delivered" true
+    (lines = [] || lines = [ "first" ]);
+  Lineconn.close c;
+  Unix.close b
+
+(* ------------------------------------------------------------------ *)
 (* Protocol front ends                                                 *)
 
-let test_serve_channels () =
-  let requests =
-    String.concat "\n"
+let solve_line ?(timeout_s = 10.) id text =
+  Protocol.request_to_line
+    (Protocol.Solve
+       {
+         Protocol.sq_id = id;
+         sq_lang = Protocol.Suf;
+         sq_text = text;
+         sq_method = Decide.Hybrid_default;
+         sq_timeout_s = Some timeout_s;
+         sq_trace = None;
+       })
+
+let reply_of l =
+  match Protocol.reply_of_line l with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "bad reply line %s: %s" l e
+
+(* Serve [requests], one per line, through the stdio entry point from a
+   file to a file; the outcome and the reply lines. *)
+let serve_lines engine requests =
+  let in_path = Filename.temp_file "sufserve" ".in" in
+  let out_path = Filename.temp_file "sufserve" ".out" in
+  Out_channel.with_open_bin in_path (fun oc ->
+      output_string oc (String.concat "\n" requests ^ "\n"));
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let outcome = Server.serve_stdio ~input ~output engine in
+  Unix.close input;
+  Unix.close output;
+  let lines =
+    In_channel.with_open_bin out_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  (outcome, lines)
+
+let sock_path tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "sufserve-%s-%d.sock" tag (Unix.getpid ()))
+
+(* Connect, retrying while the server is still binding. A server that
+   never answers fails the test after 30 s instead of hanging it. *)
+let rec connect_fd ?(tries = 500) path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.;
+    fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+    Unix.close fd;
+    Unix.sleepf 0.01;
+    connect_fd ~tries:(tries - 1) path
+
+(* Run [f path] against a socket server on [engine]; then shut the server
+   down over a fresh connection, join it and the engine. When [f] fails
+   the server is left running (it would wait for the failed test's open
+   connections) and dies with the test binary. *)
+let with_server ?(engine = Engine.create ~workers:2 ()) tag f =
+  let path = sock_path tag in
+  let server = Domain.spawn (fun () -> Server.serve_unix engine ~path) in
+  f path;
+  let s = Session.connect ~retries:50 path in
+  Session.shutdown s;
+  Session.close s;
+  Domain.join server;
+  Engine.shutdown engine;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+let test_serve_stdio () =
+  let engine = Engine.create ~workers:1 () in
+  let outcome, lines =
+    serve_lines engine
       [
         Protocol.request_to_line (Protocol.Ping "p");
-        Protocol.request_to_line
-          (Protocol.Solve
-             {
-               Protocol.sq_id = "good";
-               sq_lang = Protocol.Suf;
-               sq_text = "(= x x)";
-               sq_method = Decide.Hybrid_default;
-               sq_timeout_s = Some 10.;
-               sq_trace = None;
-             });
+        solve_line "good" "(= x x)";
         "this is not json";
         "";
         deep_array 10_000;
         Protocol.request_to_line (Protocol.Stats_req "st");
         Protocol.request_to_line (Protocol.Shutdown "q");
       ]
-    ^ "\n"
   in
-  let in_path = Filename.temp_file "sufserve" ".in" in
-  let out_path = Filename.temp_file "sufserve" ".out" in
-  let oc = open_out in_path in
-  output_string oc requests;
-  close_out oc;
-  let engine = Engine.create ~workers:1 () in
-  let ic = open_in in_path in
-  let oc = open_out out_path in
-  let outcome = Server.serve_channels engine ic oc in
-  close_in ic;
-  close_out oc;
   Engine.shutdown engine;
   Alcotest.(check bool) "shutdown request ends the loop" true
     (outcome = `Shutdown);
-  let ic = open_in out_path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let replies =
-    List.rev_map
-      (fun l ->
-        match Protocol.reply_of_line l with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "bad reply line %s: %s" l e)
-      !lines
-  in
+  let replies = List.map reply_of lines in
   let find id =
     List.find_opt (fun r -> Protocol.reply_id r = id) replies
   in
@@ -730,16 +923,10 @@ let test_serve_channels () =
   Alcotest.(check bool) "deep line got a depth error reply" true
     (List.exists
        (function Protocol.Error (_, e) -> contains e too_deep | _ -> false)
-       replies);
-  Sys.remove in_path;
-  Sys.remove out_path
+       replies)
 
 let test_serve_unix_end_to_end () =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sufserve-%d.sock" (Unix.getpid ()))
-  in
+  let path = sock_path "e2e" in
   let engine = Engine.create ~workers:2 () in
   let server = Domain.spawn (fun () -> Server.serve_unix engine ~path) in
   let client k =
@@ -792,6 +979,115 @@ let test_serve_unix_end_to_end () =
   Domain.join server;
   Engine.shutdown engine;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* One loop, many peers: 16 connections each pipeline 4 solves before
+   reading anything, and each gets all four of its ids back. *)
+let test_serve_many_pipelined () =
+  let engine = Engine.create ~workers:2 ~queue_capacity:128 () in
+  with_server ~engine "many" (fun path ->
+      let conns =
+        List.init 16 (fun k ->
+            let fd = connect_fd path in
+            let ids = List.init 4 (Printf.sprintf "c%d-%d" k) in
+            wr fd
+              (String.concat ""
+                 (List.mapi
+                    (fun j id ->
+                      let v = (4 * k) + j in
+                      solve_line id (Printf.sprintf "(= (f v%d) (f v%d))" v v)
+                      ^ "\n")
+                    ids));
+            (fd, ids))
+      in
+      List.iter
+        (fun (fd, ids) ->
+          let ic = Unix.in_channel_of_descr fd in
+          let got =
+            List.init 4 (fun _ ->
+                match reply_of (input_line ic) with
+                | Protocol.Ok_solve s ->
+                  Alcotest.(check string) "valid" "valid"
+                    (Protocol.verdict_to_string s.Protocol.sv_verdict);
+                  s.Protocol.sv_id
+                | r ->
+                  Alcotest.failf "unexpected reply %s" (Protocol.reply_to_line r))
+          in
+          Alcotest.(check (list string)) "every id back" ids
+            (List.sort compare got);
+          close_in ic)
+        conns)
+
+(* A shutdown on one connection still delivers the reply another
+   connection is owed, and the listener is gone as soon as [bye] is. *)
+let test_serve_shutdown_delivers_owed () =
+  let started = Atomic.make false in
+  let gate = Atomic.make false in
+  let backend ~method_:_ ~deadline:_ _ctx _f =
+    Atomic.set started true;
+    while not (Atomic.get gate) do
+      Unix.sleepf 0.001
+    done;
+    Verdict.Valid
+  in
+  let engine = Engine.create ~workers:1 ~cache_capacity:64 ~backend () in
+  let path = sock_path "owed" in
+  let server = Domain.spawn (fun () -> Server.serve_unix engine ~path) in
+  let a = Session.connect ~retries:100 path in
+  Session.send a
+    (Result.get_ok (Protocol.request_of_line (solve_line "slow" "(= s s)")));
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
+  let b = Session.connect path in
+  Session.shutdown b;
+  Session.close b;
+  Alcotest.(check bool) "listener closed with the bye" true
+    (match Session.connect path with
+    | s ->
+      Session.close s;
+      false
+    | exception Unix.Unix_error _ -> true);
+  Atomic.set gate true;
+  (match Session.recv a with
+  | Some (Protocol.Ok_solve s) ->
+    Alcotest.(check string) "owed reply delivered" "slow" s.Protocol.sv_id
+  | _ -> Alcotest.fail "owed reply lost");
+  Session.close a;
+  Domain.join server;
+  Engine.shutdown engine;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* A client that hangs up in the middle of its replies (EPIPE, SIGPIPE
+   ignored) costs only its own connection. *)
+let test_serve_client_gone_mid_reply () =
+  with_server "gone" (fun path ->
+      let fd = connect_fd path in
+      let req = Protocol.request_to_line (Protocol.Metrics_req "m") ^ "\n" in
+      wr fd (String.concat "" (List.init 2000 (fun _ -> req)));
+      ignore (Unix.read fd (Bytes.create 1024) 0 1024);
+      Unix.close fd;
+      let s = Session.connect path in
+      Alcotest.(check bool) "the loop still answers" true (Session.ping s);
+      Session.close s)
+
+(* A partial line past the bound gets an error with an empty id and ends
+   that connection; the others keep being served. *)
+let test_serve_overlong_line () =
+  with_server "overlong" (fun path ->
+      let other = Session.connect ~retries:100 path in
+      let fd = connect_fd path in
+      wr fd (String.make (Lineconn.max_line + 1) 'x');
+      let ic = Unix.in_channel_of_descr fd in
+      (match reply_of (input_line ic) with
+      | Protocol.Error ("", e) ->
+        Alcotest.(check bool) "names the bound" true (contains e "longer than")
+      | r -> Alcotest.failf "expected an error, got %s" (Protocol.reply_to_line r));
+      Alcotest.(check bool) "connection closed" true
+        (match input_line ic with _ -> false | exception End_of_file -> true);
+      close_in ic;
+      Alcotest.(check bool) "other connection still answered" true
+        (Session.ping other);
+      Session.close other)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: metrics op, HTTP scrape, stats quantiles, correlation    *)
@@ -1117,56 +1413,27 @@ let test_hostile_rid_every_writer () =
   Alcotest.(check (option string)) "the stats p99 rid" (Some hostile)
     (Option.bind (Json.member "latency_ms" stats) (Json.mem_str "p99_rid"))
 
-let test_serve_channels_metrics_op () =
-  let requests =
-    String.concat "\n"
-      [
-        Protocol.request_to_line (Protocol.Solve
-          {
-            Protocol.sq_id = "warm";
-            sq_lang = Protocol.Suf;
-            sq_text = "(= m m)";
-            sq_method = Decide.Hybrid_default;
-            sq_timeout_s = Some 10.;
-            sq_trace = None;
-          });
-        Protocol.request_to_line (Protocol.Metrics_req "m");
-        Protocol.request_to_line (Protocol.Shutdown "q");
-      ]
-    ^ "\n"
-  in
-  let in_path = Filename.temp_file "sufmetrics" ".in" in
-  let out_path = Filename.temp_file "sufmetrics" ".out" in
-  let oc = open_out in_path in
-  output_string oc requests;
-  close_out oc;
+let test_serve_metrics_op () =
   let engine = Engine.create ~workers:1 () in
   (* the registry is process-global: zero it so the scrape value below is
      this test's traffic alone *)
   Metrics.reset ();
-  let ic = open_in in_path in
-  let oc = open_out out_path in
-  ignore (Server.serve_channels engine ic oc);
-  close_in ic;
-  close_out oc;
+  let _, lines =
+    serve_lines engine
+      [
+        solve_line "warm" "(= m m)";
+        Protocol.request_to_line (Protocol.Metrics_req "m");
+        Protocol.request_to_line (Protocol.Shutdown "q");
+      ]
+  in
   Engine.shutdown engine;
-  let ic = open_in out_path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove in_path;
-  Sys.remove out_path;
   let metrics_reply =
     List.find_map
       (fun l ->
         match Protocol.reply_of_line l with
         | Ok (Protocol.Metrics (id, body)) -> Some (id, body)
         | _ -> None)
-      !lines
+      lines
   in
   match metrics_reply with
   | None -> Alcotest.fail "no metrics reply"
@@ -1193,20 +1460,7 @@ let test_serve_channels_metrics_op () =
 
 (* The dump op returns the flight recorder as one JSON body; after a
    served request, the dump holds that request's records. *)
-let test_serve_channels_dump_op () =
-  let requests =
-    String.concat "\n"
-      [
-        Protocol.request_to_line (Protocol.Dump_req "d");
-        Protocol.request_to_line (Protocol.Shutdown "q");
-      ]
-    ^ "\n"
-  in
-  let in_path = Filename.temp_file "sufdump" ".in" in
-  let out_path = Filename.temp_file "sufdump" ".out" in
-  let oc = open_out in_path in
-  output_string oc requests;
-  close_out oc;
+let test_serve_dump_op () =
   Obs.reset ();
   let engine = Engine.create ~workers:1 () in
   (* Serve one request to completion first (the protocol answers solves
@@ -1214,29 +1468,21 @@ let test_serve_channels_dump_op () =
   (match Engine.solve ~block:true engine (Engine.job "(= fd fd)") with
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "warmup solve failed");
-  let ic = open_in in_path in
-  let oc = open_out out_path in
-  ignore (Server.serve_channels engine ic oc);
-  close_in ic;
-  close_out oc;
+  let _, lines =
+    serve_lines engine
+      [
+        Protocol.request_to_line (Protocol.Dump_req "d");
+        Protocol.request_to_line (Protocol.Shutdown "q");
+      ]
+  in
   Engine.shutdown engine;
-  let ic = open_in out_path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove in_path;
-  Sys.remove out_path;
   let dump_reply =
     List.find_map
       (fun l ->
         match Protocol.reply_of_line l with
         | Ok (Protocol.Dump (id, body)) -> Some (id, body)
         | _ -> None)
-      !lines
+      lines
   in
   match dump_reply with
   | None -> Alcotest.fail "no dump reply"
@@ -1260,22 +1506,24 @@ let test_serve_channels_dump_op () =
              rs)
       | _ -> Alcotest.fail "dump has no records")
 
+(* Scrapes are connections of the same loop; here the stdio entry point
+   runs it, and the metrics socket lives as long as its stream. *)
 let test_serve_metrics_http () =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sufmetrics-%d.sock" (Unix.getpid ()))
-  in
+  let path = sock_path "metrics" in
   if Sys.file_exists path then Sys.remove path;
   let was_on = Obs.enabled () in
   Obs.enable ();
   Metrics.incr (Metrics.counter "serve.requests");
   if not was_on then Obs.disable ();
-  let stop = Atomic.make false in
-  let th = Server.serve_metrics ~path ~stop in
+  let engine = Engine.create ~workers:1 () in
+  let input, feed = Unix.pipe ~cloexec:true () in
+  let output = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let server =
+    Domain.spawn (fun () ->
+        Server.serve_stdio ~metrics_path:path ~input ~output engine)
+  in
   let scrape target =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
+    let fd = connect_fd path in
     let req = Printf.sprintf "GET %s HTTP/1.0\r\nHost: x\r\n\r\n" target in
     ignore (Unix.write_substring fd req 0 (String.length req));
     let buf = Buffer.create 1024 in
@@ -1293,8 +1541,12 @@ let test_serve_metrics_http () =
   in
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set stop true;
-      Thread.join th)
+      Unix.close feed;
+      Alcotest.(check bool) "the stream's EOF ends the loop" true
+        (Domain.join server = `Eof);
+      Unix.close input;
+      Unix.close output;
+      Engine.shutdown engine)
     (fun () ->
       let resp = scrape "/metrics" in
       Alcotest.(check bool) "200" true (contains resp "HTTP/1.0 200 OK");
@@ -1379,10 +1631,32 @@ let () =
           Alcotest.test_case "wire trace adoption, no stale context" `Quick
             test_engine_trace_adoption;
         ] );
+      ( "poll",
+        [ Alcotest.test_case "readiness and interest" `Quick test_poll_readiness ] );
+      ( "lineconn",
+        [
+          Alcotest.test_case "read banking" `Quick test_lineconn_read_banking;
+          Alcotest.test_case "eof with pending batch" `Quick
+            test_lineconn_eof_with_pending;
+          Alcotest.test_case "write queue" `Quick test_lineconn_write_queue;
+          Alcotest.test_case "4 MiB line in 1 KiB writes" `Quick
+            test_lineconn_large_line_in_small_writes;
+          Alcotest.test_case "newline at every word offset" `Quick
+            test_lineconn_every_offset;
+          Alcotest.test_case "overlong partial line" `Quick
+            test_lineconn_overlong;
+        ] );
       ( "server",
         [
-          Alcotest.test_case "channels" `Quick test_serve_channels;
+          Alcotest.test_case "channels" `Quick test_serve_stdio;
           Alcotest.test_case "unix socket" `Quick test_serve_unix_end_to_end;
+          Alcotest.test_case "16 connections pipelining" `Quick
+            test_serve_many_pipelined;
+          Alcotest.test_case "shutdown delivers owed replies" `Quick
+            test_serve_shutdown_delivers_owed;
+          Alcotest.test_case "client gone mid-reply" `Quick
+            test_serve_client_gone_mid_reply;
+          Alcotest.test_case "overlong line" `Quick test_serve_overlong_line;
         ] );
       ( "telemetry",
         [
@@ -1403,9 +1677,9 @@ let () =
           Alcotest.test_case "p99 exemplar rid, exemplars and lanes" `Quick
             test_engine_stats_exemplars;
           Alcotest.test_case "metrics over the protocol" `Quick
-            test_serve_channels_metrics_op;
+            test_serve_metrics_op;
           Alcotest.test_case "flight dump over the protocol" `Quick
-            test_serve_channels_dump_op;
+            test_serve_dump_op;
           Alcotest.test_case "GET /metrics over http" `Quick
             test_serve_metrics_http;
         ] );
