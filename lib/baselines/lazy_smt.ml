@@ -78,11 +78,9 @@ let decide ?(simplify = false) ?(deadline = Deadline.none) ctx formula =
   Solver.set_simplify solver simplify;
   let tseitin = Tseitin.create solver in
   Tseitin.assert_root tseitin (F.not_ pctx f_bvar);
-  (* Activation literal guarding the theory lemmas — the incremental-SMT
-     idiom: each lemma is added as [act ∨ cycle] and switched on per call by
-     assuming [¬act], so the refinement state rides the solver's retained
-     learnt clauses, activities and saved phases instead of re-encoding. *)
-  let act = Lit.pos (Solver.new_var solver) in
+  (* Each theory lemma is added to the same solver between calls, so the
+     refinement state rides its retained learnt clauses, activities and
+     saved phases instead of re-encoding. *)
   let bounds = Eij.bounds eij in
   let iterations = ref 0 in
   let conflict_clauses = ref 0 in
@@ -93,7 +91,7 @@ let decide ?(simplify = false) ?(deadline = Deadline.none) ctx formula =
     Deadline.check deadline;
     incr iterations;
     Metrics.incr (m_iterations ());
-    match Solver.solve ~deadline ~assumptions:[ Lit.neg act ] solver with
+    match Solver.solve ~deadline solver with
     | Solver.Unsat -> Some Verdict.Valid
     | Solver.Unknown -> Some (Verdict.Unknown "timeout")
     | Solver.Sat -> (
@@ -136,7 +134,7 @@ let decide ?(simplify = false) ?(deadline = Deadline.none) ctx formula =
            translation. *)
         incr conflict_clauses;
         Metrics.incr (m_lemmas ());
-        Solver.add_clause solver (act :: cycle_lits);
+        Solver.add_clause solver cycle_lits;
         None)
   in
   let rec refine () =

@@ -25,6 +25,6 @@ val decide :
   Ast.ctx ->
   Ast.formula ->
   Sepsat_sep.Verdict.t * stats
-(** [simplify] (default [false]) turns on the SAT core's pre/inprocessing;
-    the activation variable guarding theory lemmas is frozen automatically
-    because it is assumed on every refinement call. *)
+(** [simplify] (default [false]) turns on the SAT core's pre/inprocessing.
+    A theory lemma that names a predicate variable the simplifier eliminated
+    restores that variable when it is added. *)

@@ -89,9 +89,6 @@ type t = {
   ext_data : Iv.t;
   ext_off : Iv.t;  (* chunk offsets *)
   ext_live : Iv.t;  (* 1 live / 0 dead-or-restored, parallel to ext_off *)
-  (* Incremental interface *)
-  assumptions : Iv.t;
-  mutable conflict_core : Lit.t list;
   (* State *)
   mutable ok : bool;
   mutable model : bool array option;
@@ -147,8 +144,6 @@ let create () =
     ext_data = Iv.create ();
     ext_off = Iv.create ();
     ext_live = Iv.create ();
-    assumptions = Iv.create ();
-    conflict_core = [];
     ok = true;
     model = None;
     proof = None;
@@ -731,7 +726,7 @@ let restore_entry s j =
   | `Unit l -> if value_lit s l = 0 then unchecked_enqueue s l cr
   | `Ok -> ()
 
-(* Incremental soundness: when a new clause or assumption mentions a variable
+(* Incremental soundness: when a new clause mentions a variable
    that was eliminated, or that occurs in a clause parked on the extension
    stack, the affected suffix of the stack is restored (every live entry from
    the newest down to the earliest touched one). Restoring a whole suffix
@@ -871,4 +866,10 @@ let add_clause s (lits : int array) =
           s.dirty <- s.dirty + 1
       end
     end
+  end
+  else if s.n_elim_vars > 0 || Iv.size s.ext_off > 0 then begin
+    (* Already unsatisfiable, so the clause itself is moot; still, no
+       variable it names is left eliminated. *)
+    cancel_until s 0;
+    restore_touching s lits
   end

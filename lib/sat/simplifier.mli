@@ -11,8 +11,9 @@
       so the proof checker's database stays a superset of the live one.
     - Model totality: every removal that can unsatisfy a model pushes a
       witness entry onto {!Db}'s extension stack; [Db.extend_model] replays it.
-    - Incremental safety: frozen variables (assumptions, restored variables
-      and any frozen by hand) are never chosen for elimination or as blocking literals. *)
+    - Incremental safety: frozen variables (those a later clause increment
+      restored from the extension stack) are never chosen for elimination or
+      as blocking literals. *)
 
 val simplify : Db.t -> deadline:Sepsat_util.Deadline.t -> max_rounds:int -> unit
 (** Run up to [max_rounds] simplification rounds at decision level 0, then

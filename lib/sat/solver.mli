@@ -6,12 +6,11 @@
     first-UIP clause learning with basic self-subsumption minimization,
     activity-driven learnt-clause deletion and Luby restarts.
 
-    The solver is incremental in the MiniSat sense: clauses may be added
-    between [solve] calls (the solver backtracks to the root level first),
-    [solve ~assumptions] decides satisfiability under a temporary conjunction
-    of literals without committing them, and learned clauses, variable
-    activities and saved phases persist across calls. The lazy CVC-style
-    refinement loop is built on this. *)
+    The solver is incremental in one sense only: clauses may be added between
+    [solve] calls (the solver backtracks to the root level first), and
+    learned clauses, variable activities and saved phases persist across
+    calls. The lazy CVC-style refinement loop adds its theory lemmas this
+    way. *)
 
 type t
 
@@ -46,11 +45,13 @@ val create : unit -> t
 val set_simplify : t -> bool -> unit
 (** Enables SatELite-style pre/inprocessing (subsumption, self-subsumption,
     bounded variable elimination, blocked-clause elimination) for subsequent
-    [solve] calls: a preprocessing pass runs when new clauses are pending and
-    further rounds are scheduled between restarts. Off by default. Sound with
-    proofs (the DRUP trace stays checkable) and with the incremental API:
-    assumption variables are frozen, and clauses parked by elimination are
-    restored automatically when later additions touch their variables. *)
+    [solve] calls: a preprocessing pass runs when the clauses added since the
+    last pass are at least a tenth of the database, and further rounds are
+    scheduled between restarts. Off by default. Sound with
+    proofs (the DRUP trace stays checkable) and with clause increments: a
+    clause added later that mentions an eliminated variable, or one whose
+    clauses are parked for model reconstruction, first restores those parked
+    clauses and freezes the variables involved. *)
 
 val simplify : t -> unit
 (** Runs a full simplification pass immediately (regardless of the
@@ -83,27 +84,13 @@ val add_clause : t -> Lit.t list -> unit
 val add_clause_array : t -> Lit.t array -> unit
 (** {!add_clause} over an array, which it sorts in place. *)
 
-val solve :
-  ?deadline:Sepsat_util.Deadline.t ->
-  ?assumptions:Lit.t list ->
-  t ->
-  result
-(** Decides satisfiability of the clause database conjoined with the
-    [assumptions] literals. Assumptions are placed as pseudo-decisions below
-    the heuristic search, MiniSat-style, and are retracted when the call
-    returns — they do not change the database, so the solver remains usable
-    whatever the result. [Unsat] under non-empty assumptions means the
-    database together with {!unsat_core} (a subset of the assumptions) is
-    unsatisfiable; the database alone may still be satisfiable. The
-    [deadline] (and its {!Sepsat_util.Deadline.with_stop} flag, the one
-    cancellation channel) is polled every 1024 conflicts and after every
-    restart; once it fires the call returns [Unknown]. *)
-
-val unsat_core : t -> Lit.t list
-(** After [solve ~assumptions] returned [Unsat]: the failed-assumption core —
-    a subset of the assumptions whose conjunction with the clause database is
-    unsatisfiable. Empty when the database is unsatisfiable on its own.
-    Meaningless after any other result. *)
+val solve : ?deadline:Sepsat_util.Deadline.t -> t -> result
+(** Decides satisfiability of the clause database. The solver stays usable
+    after [Sat] and [Unknown]: more clauses may be added and [solve] called
+    again. [Unsat] is final. The [deadline] (and its
+    {!Sepsat_util.Deadline.with_stop} flag, the one cancellation channel) is
+    polled every 1024 conflicts and after every restart; once it fires the
+    call returns [Unknown]. *)
 
 val value : t -> Lit.t -> bool
 (** Model value of a literal after [solve] returned [Sat].

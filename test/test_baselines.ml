@@ -63,7 +63,16 @@ let check_procedure name decide =
 
 let test_svc () = check_procedure "svc" (fun ctx f -> Svc.decide ctx f)
 
-let test_lazy () = check_procedure "lazy" (fun ctx f -> Lazy_smt.decide ctx f)
+(* Each lazy check also runs with the SAT core's simplification on: a theory
+   lemma added between solves must restore any predicate variable the
+   simplifier eliminated. *)
+let test_lazy () =
+  List.iter
+    (fun simplify ->
+      check_procedure
+        (Printf.sprintf "lazy simplify=%b" simplify)
+        (fun ctx f -> Lazy_smt.decide ~simplify ctx f))
+    [ false; true ]
 
 let test_svc_stats () =
   let ctx = Ast.create_ctx () in
@@ -74,13 +83,16 @@ let test_svc_stats () =
 
 let test_lazy_iterations () =
   (* transitivity needs at least one refinement round here *)
-  let ctx = Ast.create_ctx () in
-  let f = sep_formula ctx "(=> (and (< x y) (< y z)) (< x z))" in
-  let verdict, stats = Lazy_smt.decide ctx f in
-  Alcotest.(check bool) "valid" true (verdict = Verdict.Valid);
-  Alcotest.(check bool) "iterated" true (stats.Lazy_smt.iterations >= 2);
-  Alcotest.(check bool) "conflict clauses added" true
-    (stats.Lazy_smt.conflict_clauses >= 1)
+  List.iter
+    (fun simplify ->
+      let ctx = Ast.create_ctx () in
+      let f = sep_formula ctx "(=> (and (< x y) (< y z)) (< x z))" in
+      let verdict, stats = Lazy_smt.decide ~simplify ctx f in
+      Alcotest.(check bool) "valid" true (verdict = Verdict.Valid);
+      Alcotest.(check bool) "iterated" true (stats.Lazy_smt.iterations >= 2);
+      Alcotest.(check bool) "conflict clauses added" true
+        (stats.Lazy_smt.conflict_clauses >= 1))
+    [ false; true ]
 
 let test_svc_timeout () =
   let ctx = Ast.create_ctx () in

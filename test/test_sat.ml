@@ -578,54 +578,7 @@ let prop_random_cnf ~name ~nvars ~nclauses ~width ~count =
       | Solver.Unsat -> not (brute_force_sat nvars clauses)
       | Solver.Unknown -> false)
 
-(* -- Incremental interface: assumptions, cores, phases, cancellation ------ *)
-
-let test_assumptions_basic () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s in
-  Solver.add_clause s [ Lit.pos a; Lit.pos b ];
-  Alcotest.check result_t "assume -a" Solver.Sat
-    (Solver.solve ~assumptions:[ Lit.neg_of a ] s);
-  Alcotest.(check bool) "b forced" true (Solver.value s (Lit.pos b));
-  Solver.add_clause s [ Lit.neg_of b ];
-  Alcotest.check result_t "assume -a with -b clause" Solver.Unsat
-    (Solver.solve ~assumptions:[ Lit.neg_of a ] s);
-  (* assumptions are retracted: the database alone is still satisfiable *)
-  Alcotest.check result_t "no assumptions" Solver.Sat (Solver.solve s);
-  Alcotest.(check bool) "a true in model" true (Solver.value s (Lit.pos a))
-
-let test_assumptions_core () =
-  let s = Solver.create () in
-  let a = Solver.new_var s
-  and b = Solver.new_var s
-  and c = Solver.new_var s in
-  Solver.add_clause s [ Lit.neg_of a; Lit.neg_of b ];
-  (* c is irrelevant; the core must not include it *)
-  let assumptions = [ Lit.pos c; Lit.pos a; Lit.pos b ] in
-  Alcotest.check result_t "conflicting assumptions" Solver.Unsat
-    (Solver.solve ~assumptions s);
-  let core = Solver.unsat_core s in
-  Alcotest.(check bool) "core non-empty" true (core <> []);
-  Alcotest.(check bool) "core within assumptions" true
-    (List.for_all (fun l -> List.exists (Lit.equal l) assumptions) core);
-  Alcotest.(check bool) "irrelevant assumption dropped" false
-    (List.exists (Lit.equal (Lit.pos c)) core);
-  (* the core is genuinely unsatisfiable with the database *)
-  Alcotest.check result_t "core re-solves unsat" Solver.Unsat
-    (Solver.solve ~assumptions:core s);
-  (* the solver survives the failures and still answers without assumptions *)
-  Alcotest.check result_t "still sat alone" Solver.Sat (Solver.solve s)
-
-let test_contradictory_assumptions () =
-  let s = Solver.create () in
-  let a = Solver.new_var s in
-  ignore (Solver.new_var s);
-  Alcotest.check result_t "a and -a" Solver.Unsat
-    (Solver.solve ~assumptions:[ Lit.pos a; Lit.neg_of a ] s);
-  let core = Solver.unsat_core s in
-  Alcotest.(check bool) "core mentions a" true
-    (List.exists (fun l -> Lit.var l = a) core);
-  Alcotest.check result_t "reusable" Solver.Sat (Solver.solve s)
+(* -- Incremental interface: clause hygiene, cancellation ------------------ *)
 
 let test_eliminated_stat () =
   let s = Solver.create () in
@@ -683,56 +636,6 @@ let test_stop_flag () =
   Alcotest.check result_t "resumes to unsat" Solver.Unsat
     (Solver.solve ~deadline s)
 
-let gen_cnf_with_assumptions ~nvars ~nclauses ~width ~nassum =
-  QCheck2.Gen.(
-    pair
-      (gen_cnf ~nvars ~nclauses ~width)
-      (list_size (int_bound nassum)
-         (map2 (fun v s -> Lit.make v s) (int_bound (nvars - 1)) bool)))
-
-(* Property: [solve ~assumptions] answers exactly as solving the formula
-   with the assumptions added as unit clauses — without poisoning the
-   database. *)
-let prop_assumptions_agree =
-  QCheck2.Test.make ~name:"assumptions agree with unit clauses" ~count:300
-    (gen_cnf_with_assumptions ~nvars:10 ~nclauses:40 ~width:3 ~nassum:6)
-    (fun (clauses, assumptions) ->
-      let s = Solver.create () in
-      for _ = 1 to 10 do
-        ignore (Solver.new_var s)
-      done;
-      List.iter (Solver.add_clause s) clauses;
-      let incremental = Solver.solve ~assumptions s in
-      let reference =
-        not
-          (brute_force_sat 10
-             (clauses @ List.map (fun l -> [ l ]) assumptions))
-      in
-      match incremental with
-      | Solver.Sat -> not reference
-      | Solver.Unsat -> reference
-      | Solver.Unknown -> false)
-
-(* Property: the failed-assumption core, asserted as units, really is
-   unsatisfiable with the database. *)
-let prop_failed_core_unsat =
-  QCheck2.Test.make ~name:"failed assumption cores are unsat" ~count:300
-    (gen_cnf_with_assumptions ~nvars:10 ~nclauses:40 ~width:3 ~nassum:6)
-    (fun (clauses, assumptions) ->
-      let s = Solver.create () in
-      for _ = 1 to 10 do
-        ignore (Solver.new_var s)
-      done;
-      List.iter (Solver.add_clause s) clauses;
-      match Solver.solve ~assumptions s with
-      | Solver.Sat | Solver.Unknown -> true
-      | Solver.Unsat ->
-        let core = Solver.unsat_core s in
-        List.for_all (fun l -> List.exists (Lit.equal l) assumptions) core
-        && not
-             (brute_force_sat 10
-                (clauses @ List.map (fun l -> [ l ]) core)))
-
 let () =
   Alcotest.run "sat"
     [
@@ -784,16 +687,10 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "assumptions basic" `Quick test_assumptions_basic;
-          Alcotest.test_case "failed core" `Quick test_assumptions_core;
-          Alcotest.test_case "contradictory assumptions" `Quick
-            test_contradictory_assumptions;
           Alcotest.test_case "eliminated stat" `Quick test_eliminated_stat;
           Alcotest.test_case "add_clause hygiene with a proof" `Quick
             test_add_clause_hygiene;
           Alcotest.test_case "stop flag" `Quick test_stop_flag;
-          QCheck_alcotest.to_alcotest prop_assumptions_agree;
-          QCheck_alcotest.to_alcotest prop_failed_core_unsat;
         ] );
       ( "properties",
         [
