@@ -4,10 +4,15 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+let max_depth = 10_000
+
+(* The depth count makes hostile nesting fail at its first paren past the
+   bound, before the token list or the recursive reader grow with it. *)
 let lex text =
   let n = String.length text in
   let tokens = ref [] in
   let i = ref 0 in
+  let depth = ref 0 in
   let is_atom_char c =
     match c with
     | '(' | ')' | ';' -> false
@@ -22,10 +27,13 @@ let lex text =
       done
     end
     else if c = '(' then begin
+      incr depth;
+      if !depth > max_depth then error "nesting deeper than %d" max_depth;
       tokens := "(" :: !tokens;
       incr i
     end
     else if c = ')' then begin
+      decr depth;
       tokens := ")" :: !tokens;
       incr i
     end

@@ -1089,6 +1089,27 @@ let test_serve_overlong_line () =
         (Session.ping other);
       Session.close other)
 
+(* A formula nested one level past the s-expression reader's bound gets an
+   error reply at once, and the same connection is served afterwards. *)
+let test_serve_deep_formula () =
+  let module Sexp = Sepsat_suf.Sexp in
+  let depth = Sexp.max_depth + 1 in
+  let text =
+    String.concat "" (List.init (depth - 1) (fun _ -> "(not "))
+    ^ "(= x x)"
+    ^ String.make (depth - 1) ')'
+  in
+  with_server "deep-sexp" (fun path ->
+      let s = Session.connect ~retries:100 path in
+      (match Session.solve s ~id:"deep" text with
+      | Protocol.Error ("deep", e) ->
+        Alcotest.(check bool) "names the bound" true
+          (contains e
+             (Printf.sprintf "nesting deeper than %d" Sexp.max_depth))
+      | r -> Alcotest.failf "expected an error, got %s" (Protocol.reply_to_line r));
+      Alcotest.(check bool) "the server still answers" true (Session.ping s);
+      Session.close s)
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: metrics op, HTTP scrape, stats quantiles, correlation    *)
 
@@ -1657,6 +1678,8 @@ let () =
           Alcotest.test_case "client gone mid-reply" `Quick
             test_serve_client_gone_mid_reply;
           Alcotest.test_case "overlong line" `Quick test_serve_overlong_line;
+          Alcotest.test_case "deep formula refused" `Quick
+            test_serve_deep_formula;
         ] );
       ( "telemetry",
         [

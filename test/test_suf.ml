@@ -307,6 +307,44 @@ let test_smtlib_scripts () =
       ("(declare-const x Real)", "error");
     ]
 
+(* Nesting past [Sexp.max_depth] is refused by the reader, before the token
+   list or the recursive descent grows with it, through both front ends. *)
+module Sexp = Sepsat_suf.Sexp
+
+let nested_not depth =
+  String.concat "" (List.init (depth - 1) (fun _ -> "(not "))
+  ^ "(= x x)"
+  ^ String.make (depth - 1) ')'
+
+let test_nesting_depth_bound () =
+  let n = Sexp.max_depth in
+  let too_deep = Printf.sprintf "nesting deeper than %d" n in
+  let suf text =
+    match Parse.formula (Ast.create_ctx ()) text with
+    | _ -> "ok"
+    | exception Parse.Error msg -> msg
+  in
+  let smt depth =
+    let text =
+      "(declare-const x Int)(assert " ^ nested_not (depth - 1) ^ ")(check-sat)"
+    in
+    match Smtlib.script (Ast.create_ctx ()) text with
+    | _ -> "ok"
+    | exception Smtlib.Error msg -> msg
+  in
+  Alcotest.(check string) "depth max_depth parses" "ok" (suf (nested_not n));
+  Alcotest.(check string) "one level more is refused" too_deep
+    (suf (nested_not (n + 1)));
+  Alcotest.(check string) "the reader raises Sexp.Error" too_deep
+    (match Sexp.parse_all (nested_not (n + 1)) with
+    | _ -> "ok"
+    | exception Sexp.Error msg -> msg);
+  Alcotest.(check string) "3,000,000 open parens are refused" too_deep
+    (suf (String.make 3_000_000 '('));
+  Alcotest.(check string) "smt-lib at max_depth parses" "ok" (smt n);
+  Alcotest.(check string) "smt-lib one level more is refused" too_deep
+    (smt (n + 1))
+
 let test_smtlib_structure () =
   let ctx = Ast.create_ctx () in
   let s =
@@ -431,6 +469,8 @@ let () =
       ( "smtlib",
         [
           Alcotest.test_case "scripts" `Quick test_smtlib_scripts;
+          Alcotest.test_case "nesting depth bound" `Quick
+            test_nesting_depth_bound;
           Alcotest.test_case "structure" `Quick test_smtlib_structure;
           Alcotest.test_case "suite round trip" `Quick
             test_smtlib_roundtrip_suite;
