@@ -234,15 +234,18 @@ let ensure_arena s need =
     s.arena <- a
   end
 
-let alloc_clause s (lits : int array) ~learnt =
-  let sz = Array.length lits in
+(* Allocates the clause [a.(off) .. a.(off + sz - 1)]. *)
+let alloc_clause_sub s (a : int array) off sz ~learnt =
   ensure_arena s (sz + 2);
   let cr = s.arena_top in
   s.arena.(cr) <- (sz lsl 2) lor if learnt then 2 else 0;
   s.arena.(cr + 1) <- 0;
-  Array.blit lits 0 s.arena (cr + 2) sz;
+  Array.blit a off s.arena (cr + 2) sz;
   s.arena_top <- cr + sz + 2;
   cr
+
+let alloc_clause s (lits : int array) ~learnt =
+  alloc_clause_sub s lits 0 (Array.length lits) ~learnt
 
 let mark_dead s cr =
   let hd = s.arena.(cr) in
@@ -612,10 +615,13 @@ let rebuild_watches s =
    order, so existing watch slots stay valid and plain re-attachment keeps the
    two-watch invariant; reasons are remapped through forwarding headers.
    Reasons pointing at dead clauses can only belong to root-level assignments
-   (conflict analysis never dereferences those) and are dropped. *)
+   (conflict analysis never dereferences those) and are dropped. The new
+   arena holds the live words and half as much again: sizing it like the old
+   one would zero-fill, and fault in, every word the dead clauses held. *)
 let gc_arena s =
   let old = s.arena in
-  let na = Array.make (Array.length old) 0 in
+  let live = s.arena_top - s.wasted in
+  let na = Array.make (max 1024 (live + (live / 2))) 0 in
   let top = ref 0 in
   let move cr =
     let hd = old.(cr) in
@@ -665,16 +671,18 @@ let maybe_gc s = if s.wasted > 0 && s.wasted * 3 >= s.arena_top then gc_arena s
 
 (* -- Model-extension stack and restoration ---------------------------------------- *)
 
-let push_ext s ~witness lits =
+(* Parks clause [cr] on the stack, copying its literals from the arena. *)
+let push_ext s ~witness cr =
+  let sz = clause_size s cr in
   Iv.push s.ext_off (Iv.size s.ext_data);
   Iv.push s.ext_live 1;
   Iv.push s.ext_data witness;
-  Iv.push s.ext_data (List.length lits);
-  List.iter
-    (fun l ->
-      Iv.push s.ext_data l;
-      s.ext_count.(l lsr 1) <- s.ext_count.(l lsr 1) + 1)
-    lits
+  Iv.push s.ext_data sz;
+  for i = 0 to sz - 1 do
+    let l = clause_lit s cr i in
+    Iv.push s.ext_data l;
+    s.ext_count.(l lsr 1) <- s.ext_count.(l lsr 1) + 1
+  done
 
 (* Extends a model of the live clauses to a total model of the input: replay
    entries newest-first; whenever the recorded clause is unsatisfied, flipping
@@ -777,22 +785,24 @@ let restore_touching s (ilits : int array) =
 
 (* -- Clause addition (public hygiene path) -------------------------------------------- *)
 
+(* Insertion sort of [a.(lo) .. a.(hi - 1)], for short clauses. *)
+let sort_range (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* Sorts [a] in place and drops repeated literals: returns [a] itself, or a
    shorter copy of its prefix when it had repeats. Clauses are mostly short,
    so short ones take an insertion sort. *)
 let sort_dedupe (a : int array) =
   let n = Array.length a in
-  if n <= 16 then
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else Array.sort Int.compare a;
+  if n <= 16 then sort_range a 0 n else Array.sort Int.compare a;
   let m = ref (min n 1) in
   for i = 1 to n - 1 do
     if a.(i) <> a.(!m - 1) then begin
