@@ -130,7 +130,7 @@ let occ_remove (occ : occs) v cr =
     Db.Iv.shrink ws (n - 1)
   end
 
-(* -- Literal marks ------------------------------------------------------------ *)
+(* -- Scratch: literal marks and buffers -------------------------------------- *)
 
 (* Working storage for one [simplify] call. It is local to the call, never
    shared, because solvers run on several domains at once. [mark] holds one
@@ -155,7 +155,8 @@ let create_scratch (s : Db.t) =
 
 let[@inline] marked sc l = Bytes.unsafe_get sc.mark l <> '\000'
 
-(* Sets ([on]) or clears the marks of the literals of [cr] not on [v]. *)
+(* Sets ([on]) or clears the marks of the literals of [cr] not on variable
+   [v]; [v] = -1 covers them all. *)
 let set_marks (s : Db.t) sc cr v on =
   let c = if on then '\001' else '\000' in
   for i = 0 to Db.clause_size s cr - 1 do

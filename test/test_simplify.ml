@@ -3,6 +3,8 @@
    elimination, and the restore rules clause increments depend on. *)
 
 module Solver = Sepsat_sat.Solver
+module Db = Sepsat_sat.Db
+module Simplifier = Sepsat_sat.Simplifier
 module Lit = Sepsat_sat.Lit
 module Proof = Sepsat_sat.Proof
 module Drup_check = Sepsat_sat.Drup_check
@@ -97,6 +99,104 @@ let test_blocked_clause () =
       Alcotest.(check bool) "original clause satisfied" true
         (List.exists (fun l -> Solver.value s l) c))
     clauses
+
+(* -- BVE's decision boundary ------------------------------------------------ *)
+
+(* White-box cases on a bare [Db]: every variable but x = 0 is frozen, so x is
+   the one elimination candidate and BCE has no blocking literal to use.
+   Literals are the arena's ints, [2v] positive and [2v + 1] negative. *)
+let p v = 2 * v
+
+let n v = (2 * v) + 1
+
+let x = 0
+
+let simplify_only_x nvars clauses =
+  let s = Db.create () in
+  for _ = 1 to nvars do
+    ignore (Db.new_var s)
+  done;
+  for v = 1 to nvars - 1 do
+    s.Db.frozen.(v) <- true
+  done;
+  List.iter (fun c -> Db.add_clause s (Array.of_list c)) clauses;
+  Simplifier.simplify s ~deadline:Deadline.none ~max_rounds:1;
+  s
+
+let live_clauses (s : Db.t) =
+  List.init (Db.Iv.size s.Db.clauses) (Db.Iv.get s.Db.clauses)
+  |> List.filter (fun cr -> not (Db.clause_dead s cr))
+  |> List.map (Db.clause_lits_list s)
+
+(* x ∨ a1..ak and ¬x ∨ b1..bm over fresh variables, [shared] of the b's
+   being a's: the one resolvent has k + m - shared literals. *)
+let width_case ~k ~m ~shared =
+  let a = List.init k (fun i -> p (1 + i)) in
+  let b =
+    List.init m (fun i -> if i < shared then p (1 + i) else p (1 + k + i))
+  in
+  simplify_only_x (1 + k + m) [ p x :: a; n x :: b ]
+
+let test_bve_width_cap () =
+  let elim ~k ~m ~shared = (width_case ~k ~m ~shared).Db.elimed.(x) in
+  Alcotest.(check bool) "24-literal resolvent: eliminated" true
+    (elim ~k:12 ~m:12 ~shared:0);
+  Alcotest.(check bool) "25-literal resolvent: kept" false
+    (elim ~k:12 ~m:13 ~shared:0);
+  Alcotest.(check bool) "shared literals count once" true
+    (elim ~k:12 ~m:13 ~shared:1);
+  let s = width_case ~k:12 ~m:12 ~shared:0 in
+  Alcotest.(check (list (list int))) "the resolvent replaces both clauses"
+    [ List.init 24 (fun i -> p (1 + i)) ]
+    (live_clauses s)
+
+(* x occurs in [npos] clauses x ∨ a_i and [nneg] clauses ¬x ∨ b_j over
+   distinct variables: npos · nneg resolvents against a bound of npos + nneg. *)
+let count_case ~npos ~nneg =
+  let pos = List.init npos (fun i -> [ p x; p (1 + i) ]) in
+  let neg = List.init nneg (fun j -> [ n x; p (1 + npos + j) ]) in
+  simplify_only_x (1 + npos + nneg) (pos @ neg)
+
+let test_bve_count_bound () =
+  Alcotest.(check bool) "2 x 2 = 4 resolvents for 4 clauses: eliminated" true
+    (count_case ~npos:2 ~nneg:2).Db.elimed.(x);
+  Alcotest.(check bool) "2 x 3 = 6 resolvents for 5 clauses: kept" false
+    (count_case ~npos:2 ~nneg:3).Db.elimed.(x)
+
+(* The 2 x 3 case again with one pair made tautological: (x ∨ a) against
+   (¬x ∨ ¬a). Five resolvents for five clauses is within the bound. They
+   come in the reverse of generation order, which meets the newest
+   occurrence of each side first. *)
+let test_bve_tautologies_not_counted () =
+  let a = 1 and b = 2 and c = 3 and d = 4 in
+  let s =
+    simplify_only_x 5
+      [ [ p x; p a ]; [ p x; p b ]; [ n x; n a ]; [ n x; p c ]; [ n x; p d ] ]
+  in
+  Alcotest.(check bool) "eliminated" true s.Db.elimed.(x);
+  Alcotest.(check (list (list int))) "five resolvents, in order"
+    [
+      [ p a; p c ]; [ p a; p d ]; [ n a; p b ]; [ p b; p c ]; [ p b; p d ];
+    ]
+    (live_clauses s)
+
+(* Every parked original is witnessed by its own x-literal, positive side
+   first; a wrong witness would flip x the wrong way during extension. *)
+let test_bve_witness_sides () =
+  let s = count_case ~npos:2 ~nneg:2 in
+  let entries =
+    List.init (Db.Iv.size s.Db.ext_off) (fun j ->
+        let off = Db.Iv.get s.Db.ext_off j in
+        let sz = Db.Iv.get s.Db.ext_data (off + 1) in
+        ( Db.Iv.get s.Db.ext_data off,
+          List.init sz (fun k -> Db.Iv.get s.Db.ext_data (off + 2 + k)) ))
+  in
+  Alcotest.(check (list int)) "witnesses" [ p x; p x; n x; n x ]
+    (List.map fst entries);
+  List.iter
+    (fun (w, lits) ->
+      Alcotest.(check bool) "witness is in its clause" true (List.mem w lits))
+    entries
 
 (* A shrunk counterexample of the increment property below: the database is
    UNSAT and the first solve eliminates x4 on the way. A later clause over
@@ -312,6 +412,41 @@ let prop_equisat_random_cnf =
         List.for_all (List.exists (fun l -> Solver.value s l)) clauses
       | Solver.Unsat | Solver.Unknown -> true)
 
+(* Wide random CNFs that reach BVE's caps: mostly 2-3-literal clauses, so
+   both verdicts occur, with one in nine up to 30 literals wide, so some
+   resolvents pass 24. A forced pass must keep the verdict of a plain
+   solve, extend every Sat model over the originals, and certify Unsat. *)
+let wide_nvars = 36
+
+let gen_wide_cnf =
+  let lit = QCheck2.Gen.(map2 Lit.make (int_bound (wide_nvars - 1)) bool) in
+  QCheck2.Gen.(
+    list_size (int_range 20 170)
+      (list_size
+         (frequency [ (8, int_range 2 3); (1, int_range 4 30) ])
+         lit))
+
+let prop_wide_cnf_simplified =
+  QCheck2.Test.make ~name:"wide clauses: simplified agrees and certifies"
+    ~count:300 gen_wide_cnf (fun clauses ->
+      let plain, _ = solve_with ~simplify:false wide_nvars clauses in
+      let s = Solver.create () in
+      Solver.set_simplify s true;
+      let proof = Solver.start_proof s in
+      for _ = 1 to wide_nvars do
+        ignore (Solver.new_var s)
+      done;
+      List.iter (Solver.add_clause s) clauses;
+      Solver.simplify s;
+      let simplified = Solver.solve s in
+      plain = simplified
+      &&
+      match simplified with
+      | Solver.Sat ->
+        List.for_all (List.exists (fun l -> Solver.value s l)) clauses
+      | Solver.Unsat -> Drup_check.certified proof
+      | Solver.Unknown -> false)
+
 (* A forced preprocessing pass (Solver.simplify) preserves the verdict even
    when [solve] would not have scheduled one. *)
 let prop_forced_simplify_equisat =
@@ -419,6 +554,16 @@ let () =
             test_bve_eliminates_and_reconstructs;
           Alcotest.test_case "blocked clause" `Quick test_blocked_clause;
         ] );
+      ( "bve bounds",
+        [
+          Alcotest.test_case "resolvent width cap" `Quick test_bve_width_cap;
+          Alcotest.test_case "resolvent count bound" `Quick
+            test_bve_count_bound;
+          Alcotest.test_case "tautologies not counted" `Quick
+            test_bve_tautologies_not_counted;
+          Alcotest.test_case "witness of each side" `Quick
+            test_bve_witness_sides;
+        ] );
       ( "incremental",
         [
           Alcotest.test_case "increment after unsat" `Quick
@@ -448,5 +593,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_equisat_random_cnf;
           QCheck_alcotest.to_alcotest prop_forced_simplify_equisat;
+          QCheck_alcotest.to_alcotest prop_wide_cnf_simplified;
         ] );
     ]
