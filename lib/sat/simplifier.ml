@@ -285,7 +285,7 @@ let resolvent_width (s : Db.t) sc cw d v =
 let push_resolvent (s : Db.t) sc c d v =
   let r = sc.res in
   let start = Db.Iv.size r in
-  if resolvent_width s sc (Db.clause_size s c - 1) d v >= 0 then begin
+  if resolvent_width s sc 0 d v >= 0 then begin
     for i = 0 to Db.clause_size s c - 1 do
       let l = Db.clause_lit s c i in
       if l lsr 1 <> v then Db.Iv.push r l
